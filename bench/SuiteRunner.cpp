@@ -180,8 +180,7 @@ const std::vector<Scheme> &dra::allSchemes() {
 }
 
 std::vector<ProgramMetrics> dra::runLowEndSuite(unsigned RemapStarts,
-                                                unsigned Jobs,
-                                                Telemetry *Telem) {
+                                                unsigned Jobs) {
   std::vector<ProgramMetrics> Results;
   MetricsRegistry Reg;
   if (loadLowEndCache(RemapStarts, Results)) {
@@ -194,7 +193,6 @@ std::vector<ProgramMetrics> dra::runLowEndSuite(unsigned RemapStarts,
 
   BatchOptions BO;
   BO.Jobs = Jobs;
-  BO.Telem = Telem;
   BatchCompiler Batch(BO);
 
   // Generate the programs and their reference fingerprints in parallel.
@@ -262,8 +260,7 @@ std::vector<ProgramMetrics> dra::runLowEndSuite(unsigned RemapStarts,
   return Results;
 }
 
-std::vector<VliwRow> dra::runVliwSuite(unsigned LoopCount, unsigned Jobs,
-                                       Telemetry *Telem) {
+std::vector<VliwRow> dra::runVliwSuite(unsigned LoopCount, unsigned Jobs) {
   LoopCorpusOptions Opts;
   if (LoopCount != 0)
     Opts.Count = LoopCount;
@@ -285,34 +282,18 @@ std::vector<VliwRow> dra::runVliwSuite(unsigned LoopCount, unsigned Jobs,
   VliwMachine Machine;
   ThreadPool Pool(Jobs);
 
-  // Wraps one modulo-scheduling pipeline run with an optional telemetry
-  // span ("swp", tagged with loop index and register bound).
+  // One modulo-scheduling pipeline run plus its swp.* metrics.
   auto ScheduleLoop = [&](size_t I, unsigned ArchRegs,
                           const EncodingConfig *Enc) {
-    uint64_t Begin = Telemetry::steadyNowNs();
     SwpResult R = pipelineLoop(Corpus[I], Machine, ArchRegs, Enc);
-    {
-      MetricLabels L{{"regn", std::to_string(Enc ? Enc->RegN : ArchRegs)}};
-      Reg.observe("swp.ii_attempts", static_cast<double>(R.IIAttempts), L);
-      Reg.observe("swp.ii", static_cast<double>(R.II), L);
-      Reg.count("swp.loops", 1, L);
-      Reg.count("swp.sched_rounds", static_cast<double>(R.SchedRounds), L);
-      Reg.count("swp.spill_ops", static_cast<double>(R.SpillOps), L);
-      Reg.count("swp.spilled_values", static_cast<double>(R.SpilledValues),
-                L);
-      Reg.count("swp.set_last_regs", static_cast<double>(R.SetLastRegs), L);
-    }
-    if (Telem) {
-      TraceSpan E;
-      E.Name = "swp";
-      E.Category = "stage";
-      E.BeginUs = Telem->toRelativeUs(Begin);
-      E.DurUs = Telem->toRelativeUs(Telemetry::steadyNowNs()) - E.BeginUs;
-      E.Tid = ThreadPool::currentWorker();
-      E.Args = {{"loop", static_cast<double>(I)},
-                {"regs", static_cast<double>(Enc ? Enc->RegN : ArchRegs)}};
-      Telem->recordSpan(std::move(E));
-    }
+    MetricLabels L{{"regn", std::to_string(Enc ? Enc->RegN : ArchRegs)}};
+    Reg.observe("swp.ii_attempts", static_cast<double>(R.IIAttempts), L);
+    Reg.observe("swp.ii", static_cast<double>(R.II), L);
+    Reg.count("swp.loops", 1, L);
+    Reg.count("swp.sched_rounds", static_cast<double>(R.SchedRounds), L);
+    Reg.count("swp.spill_ops", static_cast<double>(R.SpillOps), L);
+    Reg.count("swp.spilled_values", static_cast<double>(R.SpilledValues), L);
+    Reg.count("swp.set_last_regs", static_cast<double>(R.SetLastRegs), L);
     return R;
   };
 

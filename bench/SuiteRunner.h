@@ -29,7 +29,6 @@
 
 #include "core/Pipeline.h"
 #include "driver/Metrics.h"
-#include "driver/Telemetry.h"
 
 #include <map>
 #include <string>
@@ -73,11 +72,9 @@ const std::vector<Scheme> &allSchemes();
 /// fidelity for time (the paper uses 1000 restarts). The programs×schemes
 /// grid is compiled through the parallel BatchCompiler on \p Jobs workers
 /// (0 = hardware concurrency, 1 = serial); results are deterministic and
-/// independent of the worker count. \p Telem, when non-null, receives
-/// per-stage spans and batch counters.
+/// independent of the worker count.
 std::vector<ProgramMetrics> runLowEndSuite(unsigned RemapStarts = 200,
-                                           unsigned Jobs = 0,
-                                           Telemetry *Telem = nullptr);
+                                           unsigned Jobs = 0);
 
 /// One row of the VLIW evaluation (Tables 2 and 3) for a given RegN.
 struct VliwRow {
@@ -100,10 +97,8 @@ struct VliwRow {
 /// corpus for quick runs (0 = the paper's 1928). Loops are scheduled
 /// across \p Jobs pool workers (0 = hardware concurrency, 1 = serial);
 /// per-loop results are reduced in index order, so every row is
-/// bit-identical to the serial run. \p Telem, when non-null, receives one
-/// "swp" span per (loop, RegN) schedule.
-std::vector<VliwRow> runVliwSuite(unsigned LoopCount = 0, unsigned Jobs = 0,
-                                  Telemetry *Telem = nullptr);
+/// bit-identical to the serial run.
+std::vector<VliwRow> runVliwSuite(unsigned LoopCount = 0, unsigned Jobs = 0);
 
 /// One measured arm of the remap-search microbenchmark
 /// (bench_remap_search; also folded into BENCH_vliw.json by the VLIW

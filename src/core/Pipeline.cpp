@@ -315,7 +315,7 @@ PipelineResult runPipelineImpl(const Function &Src, const PipelineConfig &C) {
     return R;
   Base.AdaptiveFellBack = true;
   // The discarded differential attempt was real compile time: keep its
-  // spans ahead of the baseline's so telemetry accounts for all of it.
+  // spans ahead of the baseline's so stage timings account for all of it.
   Base.Spans.insert(Base.Spans.begin(), R.Spans.begin(), R.Spans.end());
   return Base;
 }
@@ -326,8 +326,8 @@ PipelineResult dra::runPipeline(const Function &Src, const PipelineConfig &C) {
   PipelineResult R;
   // Cache consult first: a hit replays the stored result (counters and
   // all), so the metrics flush below is identical on both paths; only the
-  // wall-clock Spans are absent on a hit.
-  bool Hit = C.Cache && C.Cache->lookup(Src, C, R);
+  // wall-clock Spans are absent on a hit, and CacheTier is set.
+  bool Hit = C.Cache && C.Cache->lookupTiered(Src, C, R, &R.CacheTier);
   if (!Hit) {
     if (C.Portfolio.Mode != PortfolioMode::Off) {
       // Portfolio dispatch: race (or choose) among the arms; each arm

@@ -80,7 +80,8 @@ struct PipelineConfig {
   /// PipelineResult (bit-identical to a fresh compile by the determinism
   /// guarantees; driver/ResultCache.h is the concrete implementation) and
   /// skips the pipeline entirely — only the Spans timing record is absent
-  /// on the hit path. Null (the default) compiles unconditionally.
+  /// on the hit path, where PipelineResult::CacheTier names the tier that
+  /// answered. Null (the default) compiles unconditionally.
   PipelineCache *Cache = nullptr;
   /// When non-null, runPipeline mirrors its stage/substage spans into this
   /// request-scoped trace (driver/Trace.h) and the cache layer records its
@@ -120,12 +121,15 @@ struct PipelineResult {
 
   /// Wall-clock record of every stage that ran. Depth-0 spans are the
   /// pipeline stages; Depth-1 spans are nested sub-phases (IRC rounds,
-  /// ILP refinement rounds, coalesce restarts) recorded only when
-  /// PipelineConfig::Metrics is set, and appear *before* their enclosing
-  /// stage span (inner scopes close first). When the adaptive mode falls
-  /// back to the baseline, the spans of both runs are kept (the
-  /// differential attempt is real compile time).
+  /// ILP refinement rounds, coalesce restarts), which appear *before*
+  /// their enclosing stage span (inner scopes close first). When the
+  /// adaptive mode falls back to the baseline, the spans of both runs are
+  /// kept (the differential attempt is real compile time). Empty when
+  /// the result came from the cache.
   std::vector<StageSpan> Spans;
+  /// The cache tier that answered ("mem" or "disk", as reported by
+  /// PipelineCache::lookupTiered); null when this run compiled.
+  const char *CacheTier = nullptr;
 
   // Final static counts.
   size_t NumInsts = 0;
@@ -154,10 +158,12 @@ class PipelineCache {
 public:
   virtual ~PipelineCache() = default;
 
-  /// True when a result for (\p Src, \p C) is available; fills \p Out.
-  /// False is always safe: the caller falls back to a fresh compile.
-  virtual bool lookup(const Function &Src, const PipelineConfig &C,
-                      PipelineResult &Out) = 0;
+  /// True when a result for (\p Src, \p C) is available; fills \p Out
+  /// and sets \p Tier to the static name of the tier that answered.
+  /// False (Tier untouched) is always safe: the caller falls back to a
+  /// fresh compile.
+  virtual bool lookupTiered(const Function &Src, const PipelineConfig &C,
+                            PipelineResult &Out, const char **Tier) = 0;
 
   /// Offers the freshly-compiled \p R for (\p Src, \p C).
   virtual void store(const Function &Src, const PipelineConfig &C,

@@ -3,62 +3,13 @@
 #include "driver/BatchCompiler.h"
 
 #include "adt/Rng.h"
+#include "driver/Trace.h"
 
 #include <cassert>
 
 using namespace dra;
 
 BatchCompiler::BatchCompiler(const BatchOptions &O) : Opts(O), Pool(O.Jobs) {}
-
-namespace {
-
-/// Records the telemetry of one finished task: the enclosing "task" span,
-/// one "stage" span per pipeline stage (Depth-0), one "substage" span per
-/// nested algorithm round (Depth > 0), and the batch counters. Substages
-/// keep their own category so Telemetry::stageStats("stage") still
-/// aggregates top-level stages only.
-void recordTask(Telemetry &T, const Function &Src, size_t Index,
-                const PipelineResult &R, uint64_t TaskBeginNs,
-                uint64_t TaskEndNs) {
-  unsigned Tid = ThreadPool::currentWorker();
-
-  TraceSpan Task;
-  Task.Name = Src.Name.empty() ? "fn" + std::to_string(Index) : Src.Name;
-  Task.Category = "task";
-  Task.BeginUs = T.toRelativeUs(TaskBeginNs);
-  Task.DurUs = T.toRelativeUs(TaskEndNs) - Task.BeginUs;
-  Task.Tid = Tid;
-  Task.Args = {{"index", static_cast<double>(Index)},
-               {"insts", static_cast<double>(R.NumInsts)},
-               {"spill_insts", static_cast<double>(R.SpillInsts)},
-               {"set_last_regs", static_cast<double>(R.SetLastRegs)},
-               {"code_bytes", static_cast<double>(R.CodeBytes)}};
-  T.recordSpan(std::move(Task));
-
-  for (const StageSpan &S : R.Spans) {
-    TraceSpan E;
-    E.Name = S.Stage;
-    E.Category = S.Depth == 0 ? "stage" : "substage";
-    E.BeginUs = T.toRelativeUs(S.BeginNs);
-    E.DurUs = T.toRelativeUs(S.EndNs) - E.BeginUs;
-    E.Tid = Tid;
-    T.recordSpan(std::move(E));
-  }
-
-  T.addCounter("functions", 1);
-  T.addCounter("insts", static_cast<double>(R.NumInsts));
-  T.addCounter("spill_insts", static_cast<double>(R.SpillInsts));
-  T.addCounter("set_last_regs", static_cast<double>(R.SetLastRegs));
-  T.addCounter("code_bytes", static_cast<double>(R.CodeBytes));
-  T.addCounter("alloc_iterations", static_cast<double>(R.Alloc.Iterations));
-  T.addCounter("ospill_rounds", static_cast<double>(R.OSpill.Rounds));
-  T.addCounter("coalesce_steps", static_cast<double>(R.Coalesce.Steps));
-  T.addCounter("encode_fields", static_cast<double>(R.Enc.NumFields));
-  if (R.AdaptiveFellBack)
-    T.addCounter("adaptive_fallbacks", 1);
-}
-
-} // namespace
 
 std::vector<PipelineResult>
 BatchCompiler::run(const std::vector<Function> &Functions,
@@ -79,11 +30,15 @@ BatchCompiler::run(const std::vector<Function> &Functions,
       C.Remap.Seed = Rng::taskSeed(C.Remap.Seed, I);
     if (Opts.Cache)
       C.Cache = Opts.Cache;
-    uint64_t Begin = Telemetry::steadyNowNs();
+    const uint64_t BeginNs = C.Trace ? steadyClockNs() : 0;
     Results[I] = runPipeline(Functions[I], C);
-    if (Opts.Telem)
-      recordTask(*Opts.Telem, Functions[I], I, Results[I], Begin,
-                 Telemetry::steadyNowNs());
+    if (C.Trace) {
+      const std::string &Name = Functions[I].Name;
+      C.Trace->record(Name.empty() ? "fn" + std::to_string(I) : Name,
+                      BeginNs, steadyClockNs(), /*Depth=*/1);
+      C.Trace->nameCurrentThread(
+          "worker-" + std::to_string(ThreadPool::currentWorker()));
+    }
   });
   return Results;
 }

@@ -13,10 +13,11 @@
 ///    `PerTaskSeeds` is set) from the task index alone — never from
 ///    scheduling order or worker identity. `Jobs=1` and `Jobs=N` therefore
 ///    produce bit-identical results; tests/driver_test.cpp enforces this.
-///  * **Telemetry.** When a Telemetry sink is attached, each task records
-///    one "task" span plus one span per pipeline stage (rebased from the
-///    PipelineResult's steady-clock stamps), tagged with the pool worker
-///    id, and bumps the shared batch counters race-free.
+///  * **Tracing.** When the config's `Trace` context is set, each task
+///    names its worker thread there and records one span named after the
+///    function, under which runPipeline adds the stage, substage and
+///    cache-probe spans. Batch counters and per-stage timings come from
+///    the config's `Metrics` registry, which runPipeline fills.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +25,6 @@
 #define DRA_DRIVER_BATCHCOMPILER_H
 
 #include "core/Pipeline.h"
-#include "driver/Telemetry.h"
 #include "driver/ThreadPool.h"
 
 #include <vector>
@@ -34,8 +34,6 @@ namespace dra {
 struct BatchOptions {
   /// Worker threads; 0 = ThreadPool::defaultWorkerCount().
   unsigned Jobs = 0;
-  /// Optional telemetry sink, shared by all tasks.
-  Telemetry *Telem = nullptr;
   /// Reseed each task's remapping RNG from (Config.Remap.Seed, index) via
   /// Rng::taskSeed, decorrelating the restart streams across the batch.
   /// Off by default so a batch over one shared config reproduces the

@@ -58,9 +58,9 @@ namespace dra {
 uint64_t steadyClockNs();
 
 /// One timed (sub-)phase of a pipeline run. Timestamps are absolute
-/// steady-clock nanoseconds (the driver's Telemetry layer rebases them
-/// onto its own timeline); Stage points at a static string ("alloc",
-/// "alloc.round", ...).
+/// steady-clock nanoseconds (runPipeline mirrors them unchanged into a
+/// request's TraceContext, driver/Trace.h); Stage points at a static
+/// string ("alloc", "alloc.round", ...).
 struct StageSpan {
   const char *Stage = "";
   uint64_t BeginNs = 0;
@@ -101,7 +101,7 @@ std::string jsonEscape(const std::string &S);
 /// 2^53 double-exact range) as plain integers, everything else with
 /// round-trip (max_digits10) precision. Non-finite values, which JSON
 /// cannot represent, are clamped to 0. Shared by the metrics writer and
-/// Telemetry's JSON exporters so large counters never round-trip lossily.
+/// the other JSON exporters so large counters never round-trip lossily.
 void writeJsonNumber(std::ostream &OS, double V);
 
 /// A set of (key, value) pairs identifying one time series. Keys are kept

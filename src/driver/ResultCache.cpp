@@ -2,7 +2,6 @@
 
 #include "driver/ResultCache.h"
 
-#include "driver/Telemetry.h"
 #include "driver/Trace.h"
 
 #include <algorithm>
@@ -598,23 +597,16 @@ void ResultCache::diskStore(uint64_t Key, const std::string &Payload) {
 // PipelineCache interface
 //===----------------------------------------------------------------------===//
 
-bool ResultCache::lookup(const Function &Src, const PipelineConfig &C,
-                         PipelineResult &Out) {
-  const char *TierUnused = nullptr;
-  return lookupTiered(Src, C, Out, &TierUnused);
-}
-
 bool ResultCache::lookupTiered(const Function &Src, const PipelineConfig &C,
                                PipelineResult &Out, const char **Tier) {
   uint64_t Key = cacheKey(Src, C);
-  uint64_t Begin = (Metrics || C.Trace) ? Telemetry::steadyNowNs() : 0;
+  uint64_t Begin = (Metrics || C.Trace) ? steadyClockNs() : 0;
 
   // Request-scoped trace: one span per probe, named by its outcome, so a
   // traced request shows *which* tier answered (or that nothing did).
-  auto TraceProbe = [&](const char *Outcome) {
+  auto TraceProbe = [&](const char *Name) {
     if (C.Trace)
-      C.Trace->record(std::string("cache.") + Outcome, Begin,
-                      Telemetry::steadyNowNs(), /*Depth=*/2);
+      C.Trace->record(Name, Begin, steadyClockNs(), /*Depth=*/2);
   };
 
   std::string Payload;
@@ -622,7 +614,7 @@ bool ResultCache::lookupTiered(const Function &Src, const PipelineConfig &C,
   if (!memLookup(Key, Payload)) {
     if (!diskLookup(Key, Payload)) {
       Misses.fetch_add(1, std::memory_order_relaxed);
-      TraceProbe("miss");
+      TraceProbe("cache.miss");
       return false;
     }
     FromDisk = true;
@@ -636,7 +628,7 @@ bool ResultCache::lookupTiered(const Function &Src, const PipelineConfig &C,
       quarantine(entryPath(Opts.DiskDir, Key));
     LoadErrors.fetch_add(1, std::memory_order_relaxed);
     Misses.fetch_add(1, std::memory_order_relaxed);
-    TraceProbe("quarantine");
+    TraceProbe("cache.quarantine");
     return false;
   }
 
@@ -649,18 +641,18 @@ bool ResultCache::lookupTiered(const Function &Src, const PipelineConfig &C,
     }
     VerifyRecompiles.fetch_add(1, std::memory_order_relaxed);
     Misses.fetch_add(1, std::memory_order_relaxed);
-    TraceProbe("verify_miss");
+    TraceProbe("cache.verify_miss");
     return false;
   }
 
   Out.F.Name = Src.Name; // Content addressing strips the name; re-attach.
-  TraceProbe(FromDisk ? "hit_disk" : "hit_mem");
+  TraceProbe(FromDisk ? "cache.hit_disk" : "cache.hit_mem");
   *Tier = FromDisk ? "disk" : "mem";
   (FromDisk ? DiskHits : MemHits).fetch_add(1, std::memory_order_relaxed);
   if (Metrics)
     Metrics->observe(
         "cache.hit_us",
-        static_cast<double>(Telemetry::steadyNowNs() - Begin) / 1000.0,
+        static_cast<double>(steadyClockNs() - Begin) / 1000.0,
         {{"tier", FromDisk ? "disk" : "mem"}});
   return true;
 }

@@ -91,17 +91,14 @@ public:
 
   explicit ResultCache(const ResultCacheOptions &O = {});
 
-  bool lookup(const Function &Src, const PipelineConfig &C,
-              PipelineResult &Out) override;
+  /// \p Tier is set to "mem" or "disk" on a hit and left untouched on a
+  /// miss; runPipeline reports it as PipelineResult::CacheTier, which the
+  /// compile server turns into its response tier and latency-histogram
+  /// label (server.latency_us{tier=hit_mem|hit_disk|miss}).
+  bool lookupTiered(const Function &Src, const PipelineConfig &C,
+                    PipelineResult &Out, const char **Tier) override;
   void store(const Function &Src, const PipelineConfig &C,
              const PipelineResult &R) override;
-
-  /// As lookup(), additionally reporting which tier served the hit:
-  /// \p Tier is set to "mem" or "disk" on a hit and left untouched on a
-  /// miss. The compile server uses this to label its per-request latency
-  /// histograms (server.latency_us{tier=hit_mem|hit_disk|miss}).
-  bool lookupTiered(const Function &Src, const PipelineConfig &C,
-                    PipelineResult &Out, const char **Tier);
 
   ResultCacheStats stats() const;
 
@@ -124,7 +121,7 @@ public:
   /// and out of the key).
   static uint64_t cacheKey(const Function &Src, const PipelineConfig &C);
 
-  /// Serializes everything lookup() must reproduce: every stage-report
+  /// Serializes everything lookupTiered() must reproduce: every stage-report
   /// counter, the final counts, and the full machine-code function —
   /// excluding the function name (re-attached from the lookup source) and
   /// the wall-clock Spans. The encoding is a whitespace-separated token
@@ -168,7 +165,7 @@ private:
   std::atomic<double> VerifyFrac{0};
 
   /// Payloads of hits hijacked for verification, keyed by fingerprint:
-  /// lookup() stashes the payload and reports a miss; the recompile's
+  /// lookupTiered() stashes the payload and reports a miss; the recompile's
   /// store() compares against it.
   std::mutex PendingM;
   std::unordered_map<uint64_t, std::string> PendingVerify;

@@ -19,8 +19,8 @@
 ///  * Exceptions thrown by tasks are captured and rethrown on the calling
 ///    thread once the loop has drained (first exception wins).
 ///  * `currentWorker()` returns a stable 0-based id for the executing
-///    worker (0 is also the calling thread for inline pools), which the
-///    telemetry layer uses as the Chrome-trace `tid`.
+///    worker (0 is also the calling thread for inline pools), which
+///    traced batches and the server use to name their worker threads.
 ///  * `submit` enqueues a detached fire-and-forget task — the compile
 ///    server's dispatch primitive. Queued tasks are *drained, not
 ///    dropped*, on destruction: a pool that goes away with work still

@@ -2,6 +2,7 @@
 
 #include "driver/Trace.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include <sys/syscall.h>
@@ -148,4 +149,22 @@ void ChromeTraceWriter::finish() {
   if (Events == 0)
     OS << "{\"traceEvents\": [\n";
   OS << "\n]}\n";
+}
+
+void dra::writeChromeTrace(std::ostream &OS, const TraceContext &TC,
+                           const std::string &ProcessName) {
+  const std::vector<TraceRecord> Records = TC.records();
+  uint64_t OriginNs = UINT64_MAX;
+  for (const TraceRecord &R : Records)
+    OriginNs = std::min(OriginNs, R.BeginNs);
+  const uint64_t Pid = osProcessId();
+  ChromeTraceWriter W(OS);
+  W.processName(Pid, ProcessName);
+  for (const auto &[Tid, Name] : TC.threadNames())
+    W.threadName(Pid, Tid, Name);
+  for (const TraceRecord &R : Records)
+    W.completeEvent(Pid, R.Tid, R.Name, "span",
+                    double(R.BeginNs - OriginNs) / 1000.0,
+                    double(R.EndNs - R.BeginNs) / 1000.0);
+  W.finish();
 }

@@ -158,9 +158,10 @@ private:
 
 /// Streaming Chrome trace-event writer (the JSON Array Format:
 /// `{"traceEvents": [...]}` with "X" complete events and "M" metadata),
-/// used by dra-loadgen's `--trace-out` merge. Timestamps are microseconds;
-/// callers rebase absolute steadyClockNs() themselves so the viewer's
-/// origin is the first event, not machine boot.
+/// the one writer behind every `--trace-out` (dra-opt, dra-batch and
+/// dra-loadgen's merge). Timestamps are microseconds; callers rebase
+/// absolute steadyClockNs() themselves so the viewer's origin is the
+/// first event, not machine boot.
 class ChromeTraceWriter {
 public:
   explicit ChromeTraceWriter(std::ostream &OS) : OS(OS) {}
@@ -188,6 +189,12 @@ private:
   size_t Events = 0;
   bool Finished = false;
 };
+
+/// Writes every span of \p TC through a ChromeTraceWriter: one process
+/// named \p ProcessName, one `thread_name` row per named thread, and the
+/// spans rebased so the earliest one starts at 0.
+void writeChromeTrace(std::ostream &OS, const TraceContext &TC,
+                      const std::string &ProcessName);
 
 } // namespace dra
 

@@ -176,7 +176,8 @@ CompileResponse CompileServer::handleRequest(const std::string &Payload,
       SM.TraceSpans.fetch_add(TC.spanCount());
       SM.TraceDropped.fetch_add(TC.droppedSpans());
     }
-    if (TotalUs >= double(Recorder.slowThresholdUs()))
+    const bool Slow = TotalUs >= double(Recorder.slowThresholdUs());
+    if (Slow)
       SM.SlowRequests.fetch_add(1);
     if (ClientTraced) {
       SM.TracedRequests.fetch_add(1);
@@ -203,7 +204,8 @@ CompileResponse CompileServer::handleRequest(const std::string &Payload,
     Rec.CompileUs = CompileUs;
     if (Resp.Status == ResponseStatus::Error)
       Rec.Error = Resp.Body;
-    if (Trace) {
+    // The recorder keeps span detail for slow requests only.
+    if (Trace && Slow) {
       Rec.Spans = TC.records();
       Rec.ThreadNames = TC.threadNames();
     }
@@ -285,6 +287,7 @@ CompileResponse CompileServer::compileAdmitted(const CompileRequest &Req,
     try {
       ScopedTraceSpan CompileSpan(Trace, "compile", /*Depth=*/1);
       PipelineConfig C = Req.toConfig();
+      C.Cache = Opts.Cache;
       C.Trace = Trace;
       if (Req.Auto) {
         C.Portfolio.Mode = Opts.Portfolio;
@@ -295,31 +298,10 @@ CompileResponse CompileServer::compileAdmitted(const CompileRequest &Req,
         // per-function pipeline series never explode under live traffic.
         C.Portfolio.Metrics = Opts.Metrics;
       }
-      PipelineResult PR;
-      const char *Tier = nullptr;
-      if (Opts.Cache && Opts.Cache->lookupTiered(F, C, PR, &Tier)) {
-        R.Tier = std::strcmp(Tier, "disk") == 0 ? "hit_disk" : "hit_mem";
-      } else if (C.Portfolio.Mode != PortfolioMode::Off) {
-        // Race (or choose) directly so the winning arm's concrete config
-        // is known: the result stores under the portfolio key *and* the
-        // winner's single-scheme key, exactly like runPipeline's own
-        // cached dispatch, without double-counting a cache miss.
-        PipelineConfig WinnerCfg;
-        PR = runPortfolio(F, C, &WinnerCfg);
-        if (C.Trace)
-          for (const StageSpan &S : PR.Spans)
-            C.Trace->record(S.Stage, S.BeginNs, S.EndNs, S.Depth + 2);
-        if (Opts.Cache) {
-          Opts.Cache->store(F, C, PR);
-          Opts.Cache->store(F, WinnerCfg, PR);
-        }
-        R.Tier = "miss";
-      } else {
-        PR = runPipeline(F, C); // C.Cache is null: no double-counted stats
-        if (Opts.Cache)
-          Opts.Cache->store(F, C, PR);
-        R.Tier = "miss";
-      }
+      PipelineResult PR = runPipeline(F, C);
+      R.Tier = !PR.CacheTier                           ? "miss"
+               : std::strcmp(PR.CacheTier, "disk") == 0 ? "hit_disk"
+                                                        : "hit_mem";
       R.Status = ResponseStatus::Ok;
       R.Body = ResultCache::serializeResult(PR);
     } catch (const std::exception &E) {

@@ -10,8 +10,9 @@
 /// a local compile would produce. Per request:
 ///
 ///   decode -> parse + verify the function -> admission control
-///     -> ResultCache::lookupTiered (hit_mem | hit_disk)
-///     -> on miss: runPipeline on the thread pool, then Cache->store
+///     -> runPipeline with the shared cache on the thread pool (a hit
+///        answers from the cache tier it names, a miss compiles and
+///        stores)
 ///     -> respond with ResultCache::serializeResult(result)
 ///
 /// The response body is the cache's canonical serialization — the very

@@ -274,8 +274,9 @@ TEST(CacheMemTier, LruEvictsWithinByteBudget) {
 
   // The most recent key must still be resident; the oldest must be gone.
   PipelineResult Out;
-  EXPECT_TRUE(Cache.lookup(tinyProgram(15), C, Out));
-  EXPECT_FALSE(Cache.lookup(tinyProgram(0), C, Out));
+  const char *Tier = nullptr;
+  EXPECT_TRUE(Cache.lookupTiered(tinyProgram(15), C, Out, &Tier));
+  EXPECT_FALSE(Cache.lookupTiered(tinyProgram(0), C, Out, &Tier));
 }
 
 //===----------------------------------------------------------------------===//
@@ -546,7 +547,8 @@ TEST(CachePortfolio, WinnerDoubleStoreServesDirectSchemeRequests) {
     if (Arms[A].RemapStarts != 0)
       AC.Remap.NumStarts = Arms[A].RemapStarts;
     PipelineResult R;
-    if (!Cache.lookup(P, AC, R))
+    const char *Tier = nullptr;
+    if (!Cache.lookupTiered(P, AC, R, &Tier))
       ++DirectMisses;
   }
   EXPECT_EQ(DirectMisses, Arms.size() - 1);

@@ -1,24 +1,27 @@
 //===- tests/driver_test.cpp - Parallel driver tests ----------------------===//
 //
-// ThreadPool scheduling, telemetry aggregation, and — most importantly —
-// the determinism guard: the batch compiler must produce bit-identical
+// ThreadPool scheduling, batch tracing, and — most importantly — the
+// determinism guard: the batch compiler must produce bit-identical
 // results at every worker count. The TSan CI job runs this binary to
-// catch data races in the pool and the telemetry sinks.
+// catch data races in the pool and in the trace shared by its workers.
 //
 //===----------------------------------------------------------------------===//
 
 #include "adt/Rng.h"
 #include "adt/Statistics.h"
 #include "driver/BatchCompiler.h"
-#include "driver/Telemetry.h"
+#include "driver/Json.h"
 #include "driver/ThreadPool.h"
+#include "driver/Trace.h"
 #include "ir/Function.h"
 #include "workloads/ProgramGen.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -52,34 +55,6 @@ PipelineConfig coalesceConfig() {
   C.Enc = lowEndConfig(12);
   C.Remap.NumStarts = 25;
   return C;
-}
-
-/// Tracks brace/bracket nesting outside string literals; a structurally
-/// sound JSON document starts at depth 0, never goes negative, and ends
-/// at depth 0.
-bool jsonStructurallySound(const std::string &Text) {
-  int Depth = 0;
-  bool InString = false, Escaped = false;
-  for (char C : Text) {
-    if (InString) {
-      if (Escaped)
-        Escaped = false;
-      else if (C == '\\')
-        Escaped = true;
-      else if (C == '"')
-        InString = false;
-      continue;
-    }
-    if (C == '"')
-      InString = true;
-    else if (C == '{' || C == '[')
-      ++Depth;
-    else if (C == '}' || C == ']') {
-      if (--Depth < 0)
-        return false;
-    }
-  }
-  return Depth == 0 && !InString;
 }
 
 } // namespace
@@ -386,64 +361,87 @@ TEST(BatchCompiler, PerConfigBatchMatchesIndividualRuns) {
 }
 
 //===----------------------------------------------------------------------===//
-// Telemetry
+// Batch tracing
 //===----------------------------------------------------------------------===//
 
-TEST(Telemetry, ConcurrentCountersAreLossless) {
-  Telemetry T;
-  ThreadPool Pool(4);
-  Pool.parallelFor(5000, [&](size_t) { T.addCounter("ticks", 1); });
-  EXPECT_DOUBLE_EQ(T.counters().at("ticks"), 5000.0);
-}
-
-TEST(Telemetry, BatchRecordsOneTaskAndStageSpansPerFunction) {
+TEST(BatchCompiler, TraceRecordsOneTaskAndStageSpansPerFunction) {
   std::vector<Function> Corpus = testCorpus(5);
-  Telemetry T;
+  MetricsRegistry Metrics;
+  TraceContext Trace(/*Id=*/1);
+  PipelineConfig C = coalesceConfig();
+  C.Metrics = &Metrics;
+  C.Trace = &Trace;
   BatchOptions BO;
   BO.Jobs = 2;
-  BO.Telem = &T;
   BatchCompiler Batch(BO);
-  Batch.run(Corpus, coalesceConfig());
+  Batch.run(Corpus, C);
 
-  EXPECT_DOUBLE_EQ(T.counters().at("functions"), 5.0);
-  size_t TaskSpans = 0;
-  for (const TraceSpan &E : T.events())
-    if (std::string(E.Category) == "task")
-      ++TaskSpans;
-  EXPECT_EQ(TaskSpans, 5u);
+  // One depth-1 span per function, named after it, with the pipeline's
+  // stages at depth 2 on the same (named) thread.
+  std::map<std::string, size_t> Tasks, Stages;
+  std::set<uint64_t> Tids;
+  for (const TraceRecord &R : Trace.records()) {
+    if (R.Depth == 1)
+      ++Tasks[R.Name];
+    else if (R.Depth == 2)
+      ++Stages[R.Name];
+    Tids.insert(R.Tid);
+  }
+  for (const Function &F : Corpus)
+    EXPECT_EQ(Tasks[F.Name], 1u) << F.Name;
+  EXPECT_EQ(Tasks.size(), Corpus.size());
+  std::set<uint64_t> Named;
+  for (const auto &[Tid, Name] : Trace.threadNames())
+    Named.insert(Tid);
+  EXPECT_EQ(Tids, Named);
+
   // The coalesce pipeline runs ospill, coalesce, remap, encode on every
-  // function: one stage span each.
-  std::map<std::string, Telemetry::StageStats> Stages = T.stageStats("stage");
+  // function: one stage span each, and one stage_us sample each in the
+  // registry dra-batch's stage table reads.
+  std::map<std::string, size_t> Samples;
+  for (const MetricsRegistry::HistogramSample &H : Metrics.histograms())
+    if (H.Name == "stage_us")
+      for (const auto &[Key, Value] : H.Labels.entries())
+        if (Key == "stage")
+          Samples[Value] += H.Count;
   for (const char *Stage : {"ospill", "coalesce", "remap", "encode"}) {
-    ASSERT_TRUE(Stages.count(Stage)) << Stage;
-    EXPECT_EQ(Stages.at(Stage).Count, 5u) << Stage;
+    EXPECT_EQ(Stages[Stage], 5u) << Stage;
+    EXPECT_EQ(Samples[Stage], 5u) << Stage;
   }
 }
 
-TEST(Telemetry, ChromeTraceIsStructurallySoundJson) {
+TEST(BatchCompiler, ChromeTraceOfBatchParsesBackWithEverySpan) {
   std::vector<Function> Corpus = testCorpus(3);
-  Telemetry T;
+  TraceContext Trace(/*Id=*/1);
+  PipelineConfig C = coalesceConfig();
+  C.Trace = &Trace;
   BatchOptions BO;
   BO.Jobs = 2;
-  BO.Telem = &T;
   BatchCompiler Batch(BO);
-  Batch.run(Corpus, coalesceConfig());
+  Batch.run(Corpus, C);
 
-  std::ostringstream Trace, Report;
-  T.writeChromeTrace(Trace);
-  T.writeJson(Report);
-  EXPECT_TRUE(jsonStructurallySound(Trace.str())) << Trace.str();
-  EXPECT_TRUE(jsonStructurallySound(Report.str())) << Report.str();
-  EXPECT_NE(Trace.str().find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(Trace.str().find("\"ph\": \"X\""), std::string::npos);
-  EXPECT_NE(Report.str().find("\"counters\""), std::string::npos);
-}
-
-TEST(Telemetry, JsonEscapeHandlesSpecials) {
-  EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
-  EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
-  EXPECT_EQ(jsonEscape("a\nb"), "a\\nb");
-  EXPECT_EQ(jsonEscape(std::string(1, '\x01')), "\\u0001");
+  std::ostringstream OS;
+  writeChromeTrace(OS, Trace, "dra-batch");
+  JsonValue Root;
+  std::string Err;
+  ASSERT_TRUE(parseJson(OS.str(), Root, &Err)) << Err;
+  const JsonValue *Events = Root.field("traceEvents");
+  ASSERT_NE(Events, nullptr);
+  size_t Complete = 0, ThreadNames = 0;
+  double MinTs = -1;
+  for (const JsonValue &E : Events->Arr) {
+    const std::string &Ph = E.field("ph")->Str;
+    if (Ph == "X") {
+      ++Complete;
+      double Ts = E.field("ts")->Num;
+      MinTs = MinTs < 0 ? Ts : std::min(MinTs, Ts);
+    } else if (E.field("name")->Str == "thread_name") {
+      ++ThreadNames;
+    }
+  }
+  EXPECT_EQ(Complete, Trace.spanCount());
+  EXPECT_EQ(ThreadNames, Trace.threadNames().size());
+  EXPECT_EQ(MinTs, 0.0); // rebased onto the earliest span
 }
 
 //===----------------------------------------------------------------------===//

@@ -1,12 +1,13 @@
-//===- tools/dra-batch.cpp - Batch compiler with telemetry ----------------===//
+//===- tools/dra-batch.cpp - Batch compiler with stage report -------------===//
 //
 // Part of the differential-register-allocation reproduction library.
 //
 // Compiles a directory (or explicit list) of `.dra` files through the
-// parallel batch driver and emits a telemetry report: a per-file summary
-// table on stdout, an aggregate JSON report (--json-out), and a Chrome
-// trace-event timeline (--trace-out) with one span per pipeline stage per
-// function, viewable in chrome://tracing or https://ui.perfetto.dev.
+// parallel batch driver and emits a report: a per-file summary and a
+// per-stage table on stdout, an aggregate JSON report (--json-out), and a
+// Chrome trace-event timeline (--trace-out) with one span per function and
+// its pipeline stages nested inside, viewable in chrome://tracing or
+// https://ui.perfetto.dev.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,15 +17,19 @@
 #include "core/Pipeline.h"
 #include "driver/BatchCompiler.h"
 #include "driver/ResultCache.h"
+#include "driver/Trace.h"
 #include "interp/Interpreter.h"
 #include "ir/Parser.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -264,10 +269,8 @@ int runTrainSweep(const Options &O, const PipelineConfig &Base,
                   const std::vector<Function> &Functions,
                   const std::vector<uint64_t> &RefFp) {
   const std::vector<PortfolioArm> Arms = defaultPortfolioArms();
-  Telemetry Telem;
   BatchOptions BO;
   BO.Jobs = O.Jobs;
-  BO.Telem = &Telem;
   BO.PerTaskSeeds = O.PerTaskSeeds;
   BatchCompiler Batch(BO);
 
@@ -342,6 +345,64 @@ int runTrainSweep(const Options &O, const PipelineConfig &Base,
     std::printf("  arm %zu (%s, remap_starts=%u): %zu win(s)\n", A,
                 portfolioSchemeKey(Arms[A].S), Arms[A].RemapStarts, Wins[A]);
   return AllOk ? 0 : 1;
+}
+
+/// The stage table's rows: the stage_us histogram of each stage. A batch
+/// compiles one config, so each stage has exactly one {scheme, stage}
+/// series.
+std::map<std::string, MetricsRegistry::HistogramSample>
+stageRows(const MetricsRegistry &M) {
+  std::map<std::string, MetricsRegistry::HistogramSample> Rows;
+  for (const MetricsRegistry::HistogramSample &H : M.histograms())
+    if (H.Name == "stage_us")
+      for (const auto &[Key, Value] : H.Labels.entries())
+        if (Key == "stage")
+          Rows[Value] = H;
+  return Rows;
+}
+
+/// The --json-out counters, in key order, and the registry series each
+/// one totals across labels.
+const std::pair<const char *, const char *> ReportCounters[] = {
+    {"alloc_iterations", "alloc.rounds"},
+    {"code_bytes", "pipeline.code_bytes"},
+    {"coalesce_steps", "coalesce.steps"},
+    {"encode_fields", "encode.fields"},
+    {"functions", "pipeline.functions"},
+    {"insts", "pipeline.insts"},
+    {"ospill_rounds", "ospill.rounds"},
+    {"set_last_regs", "pipeline.set_last_regs"},
+    {"spill_insts", "pipeline.spill_insts"},
+};
+
+/// The --json-out report: batch counters plus the stage table's rows.
+void writeReport(std::ostream &OS, const MetricsRegistry &M) {
+  std::map<std::string, double> Totals;
+  for (const MetricsRegistry::CounterSample &C : M.counters())
+    Totals[C.Name] += C.Value;
+  OS << "{\n  \"counters\": {";
+  const char *Sep = "";
+  for (const auto &[Key, Series] : ReportCounters) {
+    OS << Sep << "\n    \"" << Key << "\": ";
+    writeJsonNumber(OS, Totals[Series]);
+    Sep = ",";
+  }
+  OS << "\n  },\n  \"stages\": {";
+  Sep = "";
+  for (const auto &[Name, H] : stageRows(M)) {
+    OS << Sep << "\n    \"" << jsonEscape(Name) << "\": {\"count\": "
+       << H.Count << ", \"total_us\": ";
+    writeJsonNumber(OS, std::round(H.Sum));
+    OS << ", \"mean_us\": ";
+    writeJsonNumber(OS, H.Sum / static_cast<double>(H.Count));
+    OS << ", \"min_us\": ";
+    writeJsonNumber(OS, std::round(H.Min));
+    OS << ", \"max_us\": ";
+    writeJsonNumber(OS, std::round(H.Max));
+    OS << "}";
+    Sep = ",";
+  }
+  OS << "\n  }\n}\n";
 }
 
 } // namespace
@@ -436,10 +497,13 @@ int main(int Argc, char **Argv) {
   if (!O.PortfolioTrain.empty())
     return runTrainSweep(O, Config, Files, Functions, RefFp);
 
-  Telemetry Telem;
+  // The registry backs the stage table and --json-out as well as
+  // --metrics-out; a batch trace keeps every span.
   MetricsRegistry Metrics;
-  if (!O.MetricsOut.empty())
-    Config.Metrics = &Metrics;
+  Config.Metrics = &Metrics;
+  TraceContext Trace(/*Id=*/1, SIZE_MAX);
+  if (!O.TraceOut.empty())
+    Config.Trace = &Trace;
   std::unique_ptr<ResultCache> Cache;
   if (O.UseCache) {
     ResultCacheOptions CO;
@@ -447,19 +511,17 @@ int main(int Argc, char **Argv) {
     CO.DiskDir = O.CacheDir;
     CO.VerifyFraction = O.CacheVerify;
     Cache = std::make_unique<ResultCache>(CO);
-    if (!O.MetricsOut.empty())
-      Cache->setMetrics(&Metrics);
+    Cache->setMetrics(&Metrics);
   }
   BatchOptions BO;
   BO.Jobs = O.Jobs;
-  BO.Telem = &Telem;
   BO.PerTaskSeeds = O.PerTaskSeeds;
   BO.Cache = Cache.get();
   BatchCompiler Batch(BO);
 
-  uint64_t BatchBeginUs = Telem.nowUs();
+  const uint64_t BatchBeginNs = steadyClockNs();
   std::vector<PipelineResult> Results = Batch.run(Functions, Config);
-  uint64_t BatchUs = Telem.nowUs() - BatchBeginUs;
+  const double BatchMs = double(steadyClockNs() - BatchBeginNs) / 1e6;
 
   std::printf("%-28s %8s %8s %8s %10s %s\n", "file", "insts", "spills",
               "slr", "bytes", "semantics");
@@ -480,8 +542,7 @@ int main(int Argc, char **Argv) {
                   ? (O.Portfolio == PortfolioMode::Race ? "auto (race)"
                                                         : "auto (choose)")
                   : schemeName(O.S),
-              Batch.pool().workerCount(),
-              static_cast<double>(BatchUs) / 1000.0);
+              Batch.pool().workerCount(), BatchMs);
   if (Cache) {
     ResultCacheStats CS = Cache->stats();
     std::printf("cache: %llu hit(s) (%llu mem, %llu disk), %llu miss(es), "
@@ -505,15 +566,10 @@ int main(int Argc, char **Argv) {
   }
   std::printf("%-12s %8s %12s %10s %10s %10s\n", "stage", "count",
               "total_us", "mean_us", "min_us", "max_us");
-  for (const auto &[Name, S] : Telem.stageStats("stage")) {
-    double Mean = S.Count == 0 ? 0.0
-                               : static_cast<double>(S.TotalUs) /
-                                     static_cast<double>(S.Count);
-    std::printf("%-12s %8zu %12llu %10.1f %10llu %10llu\n", Name.c_str(),
-                S.Count, static_cast<unsigned long long>(S.TotalUs), Mean,
-                static_cast<unsigned long long>(S.MinUs),
-                static_cast<unsigned long long>(S.MaxUs));
-  }
+  for (const auto &[Name, H] : stageRows(Metrics))
+    std::printf("%-12s %8zu %12.0f %10.1f %10.0f %10.0f\n", Name.c_str(),
+                H.Count, H.Sum, H.Sum / static_cast<double>(H.Count), H.Min,
+                H.Max);
 
   if (!O.TraceOut.empty()) {
     std::ofstream Out(O.TraceOut);
@@ -521,7 +577,7 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "error: cannot write '%s'\n", O.TraceOut.c_str());
       return 1;
     }
-    Telem.writeChromeTrace(Out);
+    writeChromeTrace(Out, Trace, "dra-batch");
     std::fprintf(stderr, "trace written to %s\n", O.TraceOut.c_str());
   }
   if (!O.JsonOut.empty()) {
@@ -530,7 +586,7 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "error: cannot write '%s'\n", O.JsonOut.c_str());
       return 1;
     }
-    Telem.writeJson(Out);
+    writeReport(Out, Metrics);
     std::fprintf(stderr, "report written to %s\n", O.JsonOut.c_str());
   }
   if (!O.MetricsOut.empty()) {

@@ -17,6 +17,7 @@
 #include "core/Pipeline.h"
 #include "driver/BatchCompiler.h"
 #include "driver/ResultCache.h"
+#include "driver/Trace.h"
 #include "interp/Interpreter.h"
 #include "ir/Parser.h"
 #include "opt/ConstantFold.h"
@@ -24,6 +25,7 @@
 #include "opt/SimplifyCfg.h"
 #include "sim/LowEndSim.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -350,10 +352,12 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  Telemetry Telem;
   MetricsRegistry Metrics;
   if (!O.MetricsOut.empty())
     Config.Metrics = &Metrics;
+  TraceContext Trace(/*Id=*/1, SIZE_MAX); // a batch trace keeps every span
+  if (!O.TraceOut.empty())
+    Config.Trace = &Trace;
   std::unique_ptr<ResultCache> Cache;
   if (O.UseCache) {
     ResultCacheOptions CO;
@@ -366,7 +370,6 @@ int main(int Argc, char **Argv) {
   }
   BatchOptions BO;
   BO.Jobs = O.Jobs;
-  BO.Telem = O.TraceOut.empty() ? nullptr : &Telem;
   BO.Cache = Cache.get();
   BatchCompiler Batch(BO);
 
@@ -452,7 +455,7 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "error: cannot write '%s'\n", O.TraceOut.c_str());
       return 1;
     }
-    Telem.writeChromeTrace(Out);
+    writeChromeTrace(Out, Trace, "dra-opt");
     std::fprintf(stderr, "trace written to %s\n", O.TraceOut.c_str());
   }
 
