@@ -324,36 +324,42 @@ PipelineResult runPipelineImpl(const Function &Src, const PipelineConfig &C) {
 
 PipelineResult dra::runPipeline(const Function &Src, const PipelineConfig &C) {
   PipelineResult R;
-  // Cache consult first: a hit replays the stored result (counters and
-  // all), so the metrics flush below is identical on both paths; only the
-  // wall-clock Spans are absent on a hit, and CacheTier is set.
-  bool Hit = C.Cache && C.Cache->lookupTiered(Src, C, R, &R.CacheTier);
-  if (!Hit) {
-    if (C.Portfolio.Mode != PortfolioMode::Off) {
-      // Portfolio dispatch: race (or choose) among the arms; each arm
-      // re-enters runPipeline with the portfolio stripped, so the
-      // recursion is one level deep. The winner stores under the
-      // portfolio key *and* under the winning arm's concrete
-      // single-scheme key — a later direct request for that scheme hits
-      // the same entry.
-      PipelineConfig WinnerCfg;
-      R = runPortfolio(Src, C, &WinnerCfg);
-      if (C.Cache) {
-        C.Cache->store(Src, C, R);
-        C.Cache->store(Src, WinnerCfg, R);
-      }
-    } else {
-      R = runPipelineImpl(Src, C);
-      if (C.Cache)
-        C.Cache->store(Src, C, R);
+  const char *Tier = nullptr;
+  if (!C.Cache || !C.Cache->lookupTiered(Src, C, R, &Tier))
+    return compilePipeline(Src, C);
+  // A hit replays the stored result, counters and all, so the metrics
+  // flush is identical on both paths; it has no Spans to mirror (the
+  // cache recorded its probe span instead).
+  if (C.Metrics)
+    flushPipelineMetrics(*C.Metrics, C, R, Src);
+  return R;
+}
+
+PipelineResult dra::compilePipeline(const Function &Src,
+                                    const PipelineConfig &C) {
+  PipelineResult R;
+  if (C.Portfolio.Mode != PortfolioMode::Off) {
+    // Portfolio dispatch: race (or choose) among the arms; each arm
+    // re-enters runPipeline with the portfolio stripped, so the recursion
+    // is one level deep. The winner stores under the portfolio key *and*
+    // under the winning arm's concrete single-scheme key — a later direct
+    // request for that scheme hits the same entry.
+    PipelineConfig WinnerCfg;
+    R = runPortfolio(Src, C, &WinnerCfg);
+    if (C.Cache) {
+      C.Cache->store(Src, C, R);
+      C.Cache->store(Src, WinnerCfg, R);
     }
+  } else {
+    R = runPipelineImpl(Src, C);
+    if (C.Cache)
+      C.Cache->store(Src, C, R);
   }
   if (C.Metrics)
     flushPipelineMetrics(*C.Metrics, C, R, Src);
-  // Mirror the stage spans into the request-scoped trace (absent on the
-  // hit path, where the cache layer records its probe spans instead). The
-  // whole pipeline runs on the calling thread, so record() attributes
-  // every span correctly; +2 rebases stage depth under the server's
+  // Mirror the stage spans into the request-scoped trace. The whole
+  // pipeline runs on the calling thread, so record() attributes every
+  // span correctly; +2 rebases stage depth under the server's
   // request(0)/compile(1) spans.
   if (C.Trace)
     for (const StageSpan &S : R.Spans)

@@ -80,8 +80,7 @@ struct PipelineConfig {
   /// PipelineResult (bit-identical to a fresh compile by the determinism
   /// guarantees; driver/ResultCache.h is the concrete implementation) and
   /// skips the pipeline entirely — only the Spans timing record is absent
-  /// on the hit path, where PipelineResult::CacheTier names the tier that
-  /// answered. Null (the default) compiles unconditionally.
+  /// on the hit path. Null (the default) compiles unconditionally.
   PipelineCache *Cache = nullptr;
   /// When non-null, runPipeline mirrors its stage/substage spans into this
   /// request-scoped trace (driver/Trace.h) and the cache layer records its
@@ -127,9 +126,6 @@ struct PipelineResult {
   /// kept (the differential attempt is real compile time). Empty when
   /// the result came from the cache.
   std::vector<StageSpan> Spans;
-  /// The cache tier that answered ("mem" or "disk", as reported by
-  /// PipelineCache::lookupTiered); null when this run compiled.
-  const char *CacheTier = nullptr;
 
   // Final static counts.
   size_t NumInsts = 0;
@@ -170,8 +166,16 @@ public:
                      const PipelineResult &R) = 0;
 };
 
-/// Runs pipeline \p C on a copy of \p Src and returns the outcome.
+/// Runs pipeline \p C on a copy of \p Src and returns the outcome:
+/// the C.Cache probe, then compilePipeline on a miss.
 PipelineResult runPipeline(const Function &Src, const PipelineConfig &C);
+
+/// runPipeline's compile-and-store half, for a caller that has already
+/// probed C.Cache: compiles (racing or choosing for a portfolio config)
+/// without consulting the cache, stores the result into C.Cache (a
+/// portfolio winner under both keys, see runPortfolio), flushes
+/// C.Metrics and mirrors the spans into C.Trace.
+PipelineResult compilePipeline(const Function &Src, const PipelineConfig &C);
 
 } // namespace dra
 

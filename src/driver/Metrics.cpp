@@ -125,40 +125,78 @@ const std::vector<double> &MetricsRegistry::defaultBuckets() {
   return Bounds;
 }
 
-MetricsRegistry::Series &MetricsRegistry::seriesFor(Metric &M,
-                                                    const MetricLabels &L) {
+namespace {
+
+/// The series of \p ByLabel for \p L, created (labels filled, everything
+/// else zero) on first use.
+template <typename SeriesMap>
+typename SeriesMap::mapped_type &seriesIn(SeriesMap &ByLabel,
+                                          const MetricLabels &L) {
   std::string Key = L.key();
-  auto It = M.ByLabel.find(Key);
-  if (It == M.ByLabel.end())
-    It = M.ByLabel.emplace(std::move(Key), Series{L, 0, {}}).first;
+  auto It = ByLabel.find(Key);
+  if (It == ByLabel.end()) {
+    It = ByLabel.emplace(std::move(Key), typename SeriesMap::mapped_type{})
+             .first;
+    It->second.Labels = L;
+  }
   return It->second;
 }
+
+} // namespace
 
 void MetricsRegistry::count(std::string_view Name, double Delta,
                             const MetricLabels &Labels) {
   std::lock_guard<std::mutex> Lock(Mtx);
-  seriesFor(Counters[std::string(Name)], Labels).Value += Delta;
+  seriesIn(Counters[std::string(Name)].ByLabel, Labels).Value += Delta;
 }
 
 void MetricsRegistry::setCount(std::string_view Name, double Value,
                                const MetricLabels &Labels) {
   std::lock_guard<std::mutex> Lock(Mtx);
-  seriesFor(Counters[std::string(Name)], Labels).Value = Value;
+  seriesIn(Counters[std::string(Name)].ByLabel, Labels).Value = Value;
 }
 
 void MetricsRegistry::gauge(std::string_view Name, double Value,
                             const MetricLabels &Labels) {
   std::lock_guard<std::mutex> Lock(Mtx);
-  seriesFor(Gauges[std::string(Name)], Labels).Value = Value;
+  seriesIn(Gauges[std::string(Name)].ByLabel, Labels).Value = Value;
 }
 
 void MetricsRegistry::observe(std::string_view Name, double Value,
                               const MetricLabels &Labels) {
+  static_assert(MaxRawSamples % 2 == 0, "decimation halves the buffer");
   std::lock_guard<std::mutex> Lock(Mtx);
-  Metric &M = Histograms[std::string(Name)];
+  HistMetric &M = Histograms[std::string(Name)];
   if (M.UpperBounds.empty())
     M.UpperBounds = defaultBuckets();
-  seriesFor(M, Labels).Samples.push_back(Value);
+  HistSeries &S = seriesIn(M.ByLabel, Labels);
+  if (S.Count == 0) {
+    S.Min = S.Max = Value;
+    S.BucketCounts.assign(M.UpperBounds.size() + 1, 0);
+  } else {
+    S.Min = std::min(S.Min, Value);
+    S.Max = std::max(S.Max, Value);
+  }
+  S.Sum += Value;
+  // First bound >= Value; values above every bound fall in the +inf
+  // overflow bucket (a value exactly equal to a bound belongs to that
+  // bound's bucket).
+  ++S.BucketCounts[std::lower_bound(M.UpperBounds.begin(),
+                                    M.UpperBounds.end(), Value) -
+                   M.UpperBounds.begin()];
+  if (S.Count % S.Stride == 0) {
+    if (S.Samples.size() == MaxRawSamples) {
+      // Full at observation MaxRawSamples * Stride: keep the multiples of
+      // 2 * Stride (every other retained sample). This observation is one
+      // of them, since MaxRawSamples is even.
+      for (size_t I = 0; I != MaxRawSamples / 2; ++I)
+        S.Samples[I] = S.Samples[2 * I];
+      S.Samples.resize(MaxRawSamples / 2);
+      S.Stride *= 2;
+    }
+    S.Samples.push_back(Value);
+  }
+  ++S.Count;
 }
 
 void MetricsRegistry::defineBuckets(std::string_view Name,
@@ -166,7 +204,7 @@ void MetricsRegistry::defineBuckets(std::string_view Name,
   assert(std::is_sorted(UpperBounds.begin(), UpperBounds.end()) &&
          "bucket bounds must ascend");
   std::lock_guard<std::mutex> Lock(Mtx);
-  Metric &M = Histograms[std::string(Name)];
+  HistMetric &M = Histograms[std::string(Name)];
   if (M.ByLabel.empty())
     M.UpperBounds = std::move(UpperBounds);
 }
@@ -191,38 +229,34 @@ std::vector<MetricsRegistry::CounterSample> MetricsRegistry::gauges() const {
 
 std::vector<MetricsRegistry::HistogramSample>
 MetricsRegistry::histograms() const {
-  std::lock_guard<std::mutex> Lock(Mtx);
   std::vector<HistogramSample> Out;
-  for (const auto &[Name, M] : Histograms) {
-    for (const auto &[Key, S] : M.ByLabel) {
-      HistogramSample H;
-      H.Name = Name;
-      H.Labels = S.Labels;
-      H.Count = S.Samples.size();
-      H.UpperBounds = M.UpperBounds;
-      H.BucketCounts.assign(M.UpperBounds.size() + 1, 0);
-      std::vector<double> Sorted = S.Samples;
-      std::sort(Sorted.begin(), Sorted.end());
-      if (!Sorted.empty()) {
-        H.Min = Sorted.front();
-        H.Max = Sorted.back();
+  std::vector<std::vector<double>> Retained;
+  {
+    // Copy out under the lock; the sorts run after it is released so a
+    // live poll (dra-top) never stalls the threads observing.
+    std::lock_guard<std::mutex> Lock(Mtx);
+    for (const auto &[Name, M] : Histograms)
+      for (const auto &[Key, S] : M.ByLabel) {
+        HistogramSample H;
+        H.Name = Name;
+        H.Labels = S.Labels;
+        H.Count = S.Count;
+        H.Sum = S.Sum;
+        H.Min = S.Min;
+        H.Max = S.Max;
+        H.UpperBounds = M.UpperBounds;
+        H.BucketCounts = S.BucketCounts;
+        Out.push_back(std::move(H));
+        Retained.push_back(S.Samples);
       }
-      for (double V : Sorted) {
-        H.Sum += V;
-        // First bound >= V; values above every bound fall in the +inf
-        // overflow bucket (a value exactly equal to a bound belongs to
-        // that bound's bucket).
-        size_t B = std::lower_bound(M.UpperBounds.begin(),
-                                    M.UpperBounds.end(), V) -
-                   M.UpperBounds.begin();
-        ++H.BucketCounts[B];
-      }
-      H.P50 = percentile(Sorted, 50);
-      H.P90 = percentile(Sorted, 90);
-      H.P95 = percentile(Sorted, 95);
-      H.P99 = percentile(Sorted, 99);
-      Out.push_back(std::move(H));
-    }
+  }
+  for (size_t I = 0; I != Out.size(); ++I) {
+    std::vector<double> &Sorted = Retained[I];
+    std::sort(Sorted.begin(), Sorted.end());
+    Out[I].P50 = percentile(Sorted, 50);
+    Out[I].P90 = percentile(Sorted, 90);
+    Out[I].P95 = percentile(Sorted, 95);
+    Out[I].P99 = percentile(Sorted, 99);
   }
   return Out;
 }

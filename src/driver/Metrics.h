@@ -25,8 +25,14 @@
 ///    accumulated in plain integers inside the algorithms' result structs
 ///    and flushed to the registry once per run.
 ///  * **Determinism.** Snapshots and the JSON export are ordered by
-///    (metric name, canonical label key); totals are independent of the
-///    thread interleaving that produced them.
+///    (metric name, canonical label key). Counter totals of integer-valued
+///    deltas, histogram counts, bucket counts, min and max are independent
+///    of the thread interleaving that produced them; a histogram fed the
+///    same value sequence always snapshots identically.
+///  * **Bounded memory.** A histogram series keeps its summary
+///    incrementally plus at most MaxRawSamples raw samples for the
+///    percentiles, so a long-running server's registry does not grow with
+///    its request count.
 ///  * **Stable schema.** `writeJson` emits schema `dra-metrics-v1`
 ///    (documented in DESIGN.md, "Observability"); `loadMetricsJson` reads
 ///    it back for the `dra-stats` diff/regression tool.
@@ -155,6 +161,14 @@ public:
   void gauge(std::string_view Name, double Value,
              const MetricLabels &Labels = {});
 
+  /// Raw samples one histogram series keeps for its percentiles. Count,
+  /// sum, min, max and bucket counts are exact at any sample count;
+  /// percentiles are exact up to this many samples. Beyond it the series
+  /// keeps every Stride-th observation (Stride doubles whenever the
+  /// buffer fills), so percentiles come from a deterministic systematic
+  /// subsample of between half and all of MaxRawSamples values.
+  static constexpr size_t MaxRawSamples = 8192;
+
   /// Records one histogram sample. The bucket layout is fixed per metric
   /// name: defineBuckets() bounds if installed, the default exponential
   /// microsecond-friendly bounds otherwise.
@@ -180,7 +194,8 @@ public:
     MetricLabels Labels;
     size_t Count = 0;
     double Sum = 0, Min = 0, Max = 0;
-    /// Percentiles over the raw samples (adt/Statistics interpolation).
+    /// Percentiles over the retained samples (adt/Statistics
+    /// interpolation); exact up to MaxRawSamples observations.
     double P50 = 0, P90 = 0, P95 = 0, P99 = 0;
     std::vector<double> UpperBounds; // ascending
     /// BucketCounts[i] = samples in (UpperBounds[i-1], UpperBounds[i]];
@@ -207,20 +222,30 @@ public:
 private:
   struct Series {
     MetricLabels Labels;
-    double Value = 0;                // counters/gauges
-    std::vector<double> Samples;     // histograms (raw, insertion order)
+    double Value = 0;
+  };
+  struct HistSeries {
+    MetricLabels Labels;
+    size_t Count = 0;
+    double Sum = 0, Min = 0, Max = 0;
+    std::vector<size_t> BucketCounts; // sized on the first observation
+    /// Observations 0, Stride, 2*Stride, ... in arrival order; never more
+    /// than MaxRawSamples.
+    std::vector<double> Samples;
+    size_t Stride = 1;
   };
   struct Metric {
     std::map<std::string, Series> ByLabel; // canonical label key -> series
-    std::vector<double> UpperBounds;       // histograms only
+  };
+  struct HistMetric {
+    std::map<std::string, HistSeries> ByLabel;
+    std::vector<double> UpperBounds;
   };
 
   mutable std::mutex Mtx;
   std::map<std::string, Metric> Counters;
   std::map<std::string, Metric> Gauges;
-  std::map<std::string, Metric> Histograms;
-
-  static Series &seriesFor(Metric &M, const MetricLabels &Labels);
+  std::map<std::string, HistMetric> Histograms;
 };
 
 /// Flat, comparison-friendly view of one metrics JSON file, keyed by

@@ -565,6 +565,12 @@ bool ResultCache::diskLookup(uint64_t Key, std::string &Payload) {
   if (SumLine != "sum " + hex16(fnv1a(Data.data() + Pos, Len)))
     return Reject();
   Payload.assign(Data, Pos, Len);
+  // A valid checksum does not make the payload decodable (a planted entry,
+  // or a result-layout change without a version bump). Decode before the
+  // caller promotes it: memory-tier bytes are served without a decode.
+  PipelineResult Decoded;
+  if (!deserializeResult(Payload, Decoded))
+    return Reject();
   return true;
 }
 
@@ -597,8 +603,8 @@ void ResultCache::diskStore(uint64_t Key, const std::string &Payload) {
 // PipelineCache interface
 //===----------------------------------------------------------------------===//
 
-bool ResultCache::lookupTiered(const Function &Src, const PipelineConfig &C,
-                               PipelineResult &Out, const char **Tier) {
+bool ResultCache::lookupPayload(const Function &Src, const PipelineConfig &C,
+                                std::string &Payload, const char **Tier) {
   uint64_t Key = cacheKey(Src, C);
   uint64_t Begin = (Metrics || C.Trace) ? steadyClockNs() : 0;
 
@@ -609,7 +615,6 @@ bool ResultCache::lookupTiered(const Function &Src, const PipelineConfig &C,
       C.Trace->record(Name, Begin, steadyClockNs(), /*Depth=*/2);
   };
 
-  std::string Payload;
   bool FromDisk = false;
   if (!memLookup(Key, Payload)) {
     if (!diskLookup(Key, Payload)) {
@@ -619,17 +624,6 @@ bool ResultCache::lookupTiered(const Function &Src, const PipelineConfig &C,
     }
     FromDisk = true;
     memInsert(Key, Payload); // Promote so the next hit is lock-cheap.
-  }
-
-  if (!deserializeResult(Payload, Out)) {
-    // Unreachable for entries we serialized ourselves; a checksummed but
-    // undecodable disk entry still must not crash or mis-serve.
-    if (FromDisk)
-      quarantine(entryPath(Opts.DiskDir, Key));
-    LoadErrors.fetch_add(1, std::memory_order_relaxed);
-    Misses.fetch_add(1, std::memory_order_relaxed);
-    TraceProbe("cache.quarantine");
-    return false;
   }
 
   if (shouldVerify(Key)) {
@@ -645,7 +639,6 @@ bool ResultCache::lookupTiered(const Function &Src, const PipelineConfig &C,
     return false;
   }
 
-  Out.F.Name = Src.Name; // Content addressing strips the name; re-attach.
   TraceProbe(FromDisk ? "cache.hit_disk" : "cache.hit_mem");
   *Tier = FromDisk ? "disk" : "mem";
   (FromDisk ? DiskHits : MemHits).fetch_add(1, std::memory_order_relaxed);
@@ -654,6 +647,19 @@ bool ResultCache::lookupTiered(const Function &Src, const PipelineConfig &C,
         "cache.hit_us",
         static_cast<double>(steadyClockNs() - Begin) / 1000.0,
         {{"tier", FromDisk ? "disk" : "mem"}});
+  return true;
+}
+
+bool ResultCache::lookupTiered(const Function &Src, const PipelineConfig &C,
+                               PipelineResult &Out, const char **Tier) {
+  std::string Payload;
+  const char *HitTier = nullptr;
+  // The decode fails only if a caller stored an undecodable result.
+  if (!lookupPayload(Src, C, Payload, &HitTier) ||
+      !deserializeResult(Payload, Out))
+    return false;
+  Out.F.Name = Src.Name;
+  *Tier = HitTier;
   return true;
 }
 

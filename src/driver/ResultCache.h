@@ -26,8 +26,8 @@
 ///    exactly one shard lock.
 ///  * **Disk** (optional, `DiskDir`) — one `dra-cache-v1` file per entry,
 ///    named by the key, with a header carrying the key, the payload length
-///    and an FNV checksum. Corrupt, truncated or version-mismatched
-///    entries are never errors: they count as misses, bump
+///    and an FNV checksum. Corrupt, truncated, version-mismatched or
+///    undecodable entries are never errors: they count as misses, bump
 ///    `cache.load_errors` and are quarantined into `DiskDir/quarantine/`
 ///    so a recurring bad entry cannot be re-read forever.
 ///
@@ -91,10 +91,20 @@ public:
 
   explicit ResultCache(const ResultCacheOptions &O = {});
 
-  /// \p Tier is set to "mem" or "disk" on a hit and left untouched on a
-  /// miss; runPipeline reports it as PipelineResult::CacheTier, which the
-  /// compile server turns into its response tier and latency-histogram
-  /// label (server.latency_us{tier=hit_mem|hit_disk|miss}).
+  /// The one probe of both tiers for (\p Src, \p C): key, memory tier,
+  /// disk tier (an entry is decoded before it is promoted, so the memory
+  /// tier holds only store()'s serializations and disk entries that
+  /// decode), the verify hijack, the counters, `cache.hit_us` and the
+  /// C.Trace probe span. On a hit \p Payload holds the stored bytes —
+  /// exactly serializeResult of the result — and \p Tier is set to "mem"
+  /// or "disk"; the compile server answers hits with these bytes as they
+  /// are. On a miss (a verify-hijacked hit included) \p Payload is
+  /// unspecified and \p Tier untouched.
+  bool lookupPayload(const Function &Src, const PipelineConfig &C,
+                     std::string &Payload, const char **Tier);
+
+  /// lookupPayload plus deserializeResult, with the function name of
+  /// \p Src re-attached (content addressing strips it).
   bool lookupTiered(const Function &Src, const PipelineConfig &C,
                     PipelineResult &Out, const char **Tier) override;
   void store(const Function &Src, const PipelineConfig &C,
@@ -165,8 +175,8 @@ private:
   std::atomic<double> VerifyFrac{0};
 
   /// Payloads of hits hijacked for verification, keyed by fingerprint:
-  /// lookupTiered() stashes the payload and reports a miss; the recompile's
-  /// store() compares against it.
+  /// lookupPayload() stashes the payload and reports a miss; the
+  /// recompile's store() compares against it.
   std::mutex PendingM;
   std::unordered_map<uint64_t, std::string> PendingVerify;
 

@@ -5,7 +5,6 @@
 #include "ir/Parser.h"
 
 #include <cerrno>
-#include <cstring>
 #include <exception>
 #include <future>
 #include <optional>
@@ -229,9 +228,20 @@ CompileResponse CompileServer::handleRequest(const std::string &Payload,
   if (Req.Auto && Opts.Portfolio == PortfolioMode::Off)
     return Fail("scheme=auto requires a server started with "
                 "--portfolio=race or --portfolio=choose");
-  if (Req.S != Scheme::Baseline && Req.S != Scheme::OSpill &&
-      !Req.toConfig().Enc.valid())
+  PipelineConfig C = Req.toConfig();
+  if (Req.S != Scheme::Baseline && Req.S != Scheme::OSpill && !C.Enc.valid())
     return Fail("invalid encoding config (regn/diffn/diffw)");
+  C.Cache = Opts.Cache;
+  C.Trace = Trace;
+  if (Req.Auto) {
+    C.Portfolio.Mode = Opts.Portfolio;
+    C.Portfolio.Jobs = Opts.PortfolioJobs;
+    C.Portfolio.Table = Opts.PortfolioTable;
+    // Bounded-cardinality portfolio.* counters (mode/scheme labels only)
+    // go to the server registry; C.Metrics stays null so the per-function
+    // pipeline series never explode under live traffic.
+    C.Portfolio.Metrics = Opts.Metrics;
+  }
   std::optional<Function> F;
   {
     ScopedTraceSpan Span(Trace, "parse", /*Depth=*/1);
@@ -243,13 +253,22 @@ CompileResponse CompileServer::handleRequest(const std::string &Payload,
       return Fail("invalid function: " + Err);
   }
 
+  // A hit is answered here, with the stored bytes: they are the ok-body
+  // by definition, so it needs no admission, no worker and no codec.
+  const char *Tier = nullptr;
+  if (Opts.Cache && Opts.Cache->lookupPayload(*F, C, Resp.Body, &Tier)) {
+    Resp.Status = ResponseStatus::Ok;
+    Resp.Tier = std::string("hit_") + Tier;
+    return Finish();
+  }
+
   if (!Queue.tryAdmit()) {
     Resp.Status = ResponseStatus::Shed;
     Resp.Tier = "none";
     Resp.Body.clear();
     return Finish();
   }
-  Resp = compileAdmitted(Req, *F, Trace, QueueUs, CompileUs);
+  Resp = compileAdmitted(*F, C, QueueUs, CompileUs);
   Queue.release();
 
   if (Resp.Status == ResponseStatus::Error)
@@ -257,11 +276,11 @@ CompileResponse CompileServer::handleRequest(const std::string &Payload,
   return Finish();
 }
 
-CompileResponse CompileServer::compileAdmitted(const CompileRequest &Req,
-                                               const Function &F,
-                                               TraceContext *Trace,
+CompileResponse CompileServer::compileAdmitted(const Function &F,
+                                               const PipelineConfig &C,
                                                double &QueueUs,
                                                double &CompileUs) {
+  TraceContext *Trace = C.Trace;
   // The connection thread blocks on the future; the pool bounds how many
   // compiles actually run at once. submit() drops escaped exceptions, so
   // the closure must resolve the promise on every path itself.
@@ -286,24 +305,12 @@ CompileResponse CompileServer::compileAdmitted(const CompileRequest &Req,
     }
     try {
       ScopedTraceSpan CompileSpan(Trace, "compile", /*Depth=*/1);
-      PipelineConfig C = Req.toConfig();
-      C.Cache = Opts.Cache;
-      C.Trace = Trace;
-      if (Req.Auto) {
-        C.Portfolio.Mode = Opts.Portfolio;
-        C.Portfolio.Jobs = Opts.PortfolioJobs;
-        C.Portfolio.Table = Opts.PortfolioTable;
-        // Bounded-cardinality portfolio.* counters (mode/scheme labels
-        // only) go to the server registry; C.Metrics stays null so the
-        // per-function pipeline series never explode under live traffic.
-        C.Portfolio.Metrics = Opts.Metrics;
-      }
-      PipelineResult PR = runPipeline(F, C);
-      R.Tier = !PR.CacheTier                           ? "miss"
-               : std::strcmp(PR.CacheTier, "disk") == 0 ? "hit_disk"
-                                                        : "hit_mem";
+      // handleRequest already probed the cache: compile without a second
+      // probe (the store still happens, and a verify-hijacked hit is
+      // compared there).
+      R.Body = ResultCache::serializeResult(compilePipeline(F, C));
       R.Status = ResponseStatus::Ok;
-      R.Body = ResultCache::serializeResult(PR);
+      R.Tier = "miss";
     } catch (const std::exception &E) {
       R.Status = ResponseStatus::Error;
       R.Tier = "none";

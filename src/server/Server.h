@@ -9,23 +9,26 @@
 /// answers framed CompileRequests (server/Protocol.h) with the same bytes
 /// a local compile would produce. Per request:
 ///
-///   decode -> parse + verify the function -> admission control
-///     -> runPipeline with the shared cache on the thread pool (a hit
-///        answers from the cache tier it names, a miss compiles and
-///        stores)
-///     -> respond with ResultCache::serializeResult(result)
+///   decode -> parse + verify the function
+///     -> ResultCache::lookupPayload on the connection thread; a hit
+///        (hit_mem / hit_disk) is answered with the stored bytes as they
+///        are, never admitted and never shed
+///     -> a miss: admission control -> compilePipeline on the thread pool
+///        (compile, store) -> respond with ResultCache::serializeResult
 ///
 /// The response body is the cache's canonical serialization — the very
-/// byte string `dra-batch` would put in the cache for the same input — so
-/// "server == local" is a byte comparison, which dra-loadgen's `--verify`
-/// sampling and the parity tests exploit.
+/// byte string `dra-batch` would put in the cache for the same input, and
+/// exactly the bytes a hit returns — so "server == local" is a byte
+/// comparison, which dra-loadgen's `--verify` sampling and the parity
+/// tests exploit.
 ///
 /// Threading model: one acceptor thread, one thread per connection
 /// (connections are long-lived and few; clients multiplex requests over
 /// them sequentially), and a shared ThreadPool that bounds actual compile
-/// concurrency. The AdmissionQueue bounds *admitted* work independently
-/// of connection count: beyond `QueueDepth` in-flight requests the server
-/// sheds (`status=shed`) instead of queueing without bound.
+/// concurrency. The AdmissionQueue bounds *admitted* work — misses only,
+/// so `server.accepted` counts misses — independently of connection
+/// count: beyond `QueueDepth` in-flight compiles the server sheds
+/// (`status=shed`) instead of queueing without bound.
 ///
 /// Shutdown (`stop()`, the SIGTERM path) is graceful: stop accepting,
 /// half-close every connection for reading (in-flight responses still go
@@ -58,8 +61,9 @@ struct ServerOptions {
   std::string SocketPath;
   /// Compile worker threads; 0 picks ThreadPool::defaultWorkerCount().
   unsigned Workers = 0;
-  /// Admission bound: maximum requests between admit and release. 0 sheds
-  /// every request (useful for overload tests).
+  /// Admission bound: maximum compiles (cache misses) between admit and
+  /// release. 0 sheds every miss (useful for overload tests); cache hits
+  /// are answered regardless.
   unsigned QueueDepth = 64;
   size_t MaxFrameBytes = DefaultMaxFrameBytes;
   int Backlog = 64;
@@ -134,8 +138,7 @@ private:
 
   void acceptLoop();
   void serveConnection(Conn &Self);
-  CompileResponse compileAdmitted(const CompileRequest &Req,
-                                  const Function &F, TraceContext *Trace,
+  CompileResponse compileAdmitted(const Function &F, const PipelineConfig &C,
                                   double &QueueUs, double &CompileUs);
   CompileResponse handleControl(const std::string &Payload);
   void writeStatsJson(std::ostream &OS) const;

@@ -21,7 +21,8 @@
 ///
 /// Series written by flush():
 ///
-///   counters: server.connections, server.requests, server.accepted,
+///   counters: server.connections, server.requests, server.accepted
+///             (admitted misses; hits are never admitted),
 ///             server.shed, server.errors, server.bad_frames,
 ///             server.ctl_requests, trace.requests, trace.spans,
 ///             trace.dropped_spans, trace.slow_requests

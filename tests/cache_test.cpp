@@ -381,6 +381,44 @@ TEST(CacheDiskTier, CorruptEntriesQuarantineAsMisses) {
   EXPECT_EQ(Fresh.stats().LoadErrors, 0u);
 }
 
+TEST(CacheDiskTier, UndecodableEntryIsRejectedBeforePromotion) {
+  std::string Dir = freshDir("undecodable");
+  Function P = testProgram(13);
+  PipelineConfig C = smallConfig();
+  ResultCacheOptions O;
+  O.DiskDir = Dir;
+  {
+    // Planted under P's key with a valid header and checksum, but the
+    // payload does not decode: an instruction names a block the function
+    // does not have.
+    PipelineResult Bad;
+    Bad.F = tinyProgram(1);
+    Bad.F.Blocks[0].Insts[0].Target0 = 5;
+    PipelineResult Scratch;
+    ASSERT_FALSE(ResultCache::deserializeResult(
+        ResultCache::serializeResult(Bad), Scratch));
+    ResultCache Writer(O);
+    Writer.store(P, C, Bad);
+  }
+
+  ResultCache Cache(O);
+  C.Cache = &Cache;
+  PipelineResult Fresh = runPipeline(P, C);
+  for (int I = 0; I != 3; ++I)
+    runPipeline(P, C);
+  ResultCacheStats S = Cache.stats();
+  EXPECT_EQ(S.LoadErrors, 1u);
+  EXPECT_EQ(S.Misses, 1u);
+  EXPECT_EQ(S.MemHits, 3u);
+
+  // The memory tier serves the recompiled bytes.
+  std::string Payload;
+  const char *Tier = nullptr;
+  ASSERT_TRUE(Cache.lookupPayload(P, C, Payload, &Tier));
+  EXPECT_STREQ(Tier, "mem");
+  EXPECT_EQ(Payload, ResultCache::serializeResult(Fresh));
+}
+
 //===----------------------------------------------------------------------===//
 // Hit verification
 //===----------------------------------------------------------------------===//

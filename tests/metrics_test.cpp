@@ -152,6 +152,47 @@ TEST(MetricsRegistry, HistogramPercentiles) {
   EXPECT_EQ(H1.Max, 42);
 }
 
+TEST(MetricsRegistry, HistogramMemoryIsBoundedAndSummaryExact) {
+  constexpr size_t N = 10 * MetricsRegistry::MaxRawSamples;
+  MetricsRegistry Reg;
+  Reg.defineBuckets("ramp", {1000, 10000, 50000});
+  for (size_t I = 1; I <= N; ++I)
+    Reg.observe("ramp", static_cast<double>(I));
+  auto Hists = Reg.histograms();
+  ASSERT_EQ(Hists.size(), 1u);
+  const auto &H = Hists[0];
+  EXPECT_EQ(H.Count, N);
+  EXPECT_EQ(H.Sum, double(N) * double(N + 1) / 2);
+  EXPECT_EQ(H.Min, 1);
+  EXPECT_EQ(H.Max, double(N));
+  ASSERT_EQ(H.BucketCounts.size(), 4u);
+  EXPECT_EQ(H.BucketCounts[0], 1000u);
+  EXPECT_EQ(H.BucketCounts[1], 9000u);
+  EXPECT_EQ(H.BucketCounts[2], 40000u);
+  EXPECT_EQ(H.BucketCounts[3], N - 50000);
+  // Exact interpolated percentile of the ramp 1..N.
+  auto Exact = [&](double P) { return 1 + P / 100 * double(N - 1); };
+  EXPECT_NEAR(H.P50, Exact(50), 0.01 * Exact(50));
+  EXPECT_NEAR(H.P90, Exact(90), 0.01 * Exact(90));
+  EXPECT_NEAR(H.P95, Exact(95), 0.01 * Exact(95));
+  EXPECT_NEAR(H.P99, Exact(99), 0.01 * Exact(99));
+
+  // Decimation is deterministic: the same (non-monotone) stream into two
+  // registries snapshots identically.
+  MetricsRegistry A, B;
+  uint64_t X = 42;
+  for (size_t I = 0; I != N; ++I) {
+    X = X * 6364136223846793005ull + 1442695040888963407ull;
+    const double V = static_cast<double>((X >> 33) % 100000);
+    A.observe("lat", V, {{"tier", "hit_mem"}});
+    B.observe("lat", V, {{"tier", "hit_mem"}});
+  }
+  std::ostringstream JA, JB;
+  A.writeJson(JA);
+  B.writeJson(JB);
+  EXPECT_EQ(JA.str(), JB.str());
+}
+
 TEST(JsonEscape, QuotesBackslashesControlChars) {
   EXPECT_EQ(jsonEscape("plain"), "plain");
   EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");

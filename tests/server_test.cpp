@@ -8,8 +8,8 @@
 // structured error or a dropped connection, never a crash), the
 // admission queue's bounds and drain barrier, and the full CompileServer
 // on a real unix socket: response bytes identical to a local compile,
-// cache-tier reporting, overload shedding, client-disconnect survival,
-// and graceful-stop draining.
+// cache-tier reporting, hits answered without admission, overload
+// shedding, client-disconnect survival, and graceful-stop draining.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +29,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -68,6 +69,15 @@ std::string leHeader(uint32_t Magic, uint32_t Len) {
 void sendRaw(int Fd, const std::string &Bytes) {
   ASSERT_EQ(ssize_t(Bytes.size()),
             send(Fd, Bytes.data(), Bytes.size(), MSG_NOSIGNAL));
+}
+
+/// Fresh empty scratch directory under the system temp dir.
+std::string freshDir(const std::string &Name) {
+  std::filesystem::path P =
+      std::filesystem::temp_directory_path() / "dra_server_test" / Name;
+  std::filesystem::remove_all(P);
+  std::filesystem::create_directories(P);
+  return P.string();
 }
 
 } // namespace
@@ -296,7 +306,9 @@ TEST(AdmissionQueue, DrainWaitsForEveryRelease) {
 
 TEST(CompileServer, ResponsesMatchLocalCompileAcrossTiers) {
   MetricsRegistry Metrics;
-  ResultCache Cache;
+  ResultCacheOptions CO;
+  CO.DiskDir = freshDir("parity");
+  ResultCache Cache(CO);
   ServerOptions SO;
   SO.SocketPath = "server_test_parity.sock";
   SO.Workers = 2;
@@ -331,7 +343,7 @@ TEST(CompileServer, ResponsesMatchLocalCompileAcrossTiers) {
   Server.stop();
 
   EXPECT_EQ(2u, Server.serverMetrics().Requests.load());
-  EXPECT_EQ(2u, Server.queue().admitted());
+  EXPECT_EQ(1u, Server.queue().admitted()); // the hit was never admitted
   EXPECT_EQ(0u, Server.queue().shed());
   EXPECT_EQ(0u, Server.queue().depth());
 
@@ -361,6 +373,112 @@ TEST(CompileServer, ResponsesMatchLocalCompileAcrossTiers) {
   }
   EXPECT_TRUE(SawMiss);
   EXPECT_TRUE(SawHit);
+
+  // A server restarted on the same disk tier answers from it, with the
+  // same bytes, and promotes the entry to its memory tier.
+  ResultCache Restarted(CO);
+  SO.Cache = &Restarted;
+  SO.Metrics = nullptr;
+  CompileServer Server2(SO);
+  ASSERT_TRUE(Server2.start(&Err)) << Err;
+  Fd = connectUnixSocket(SO.SocketPath, &Err);
+  ASSERT_GE(Fd, 0) << Err;
+  ASSERT_TRUE(transact(Fd, Req, Resp, &Err)) << Err;
+  EXPECT_EQ(ResponseStatus::Ok, Resp.Status);
+  EXPECT_EQ("hit_disk", Resp.Tier);
+  EXPECT_EQ(LocalBytes, Resp.Body);
+  ASSERT_TRUE(transact(Fd, Req, Resp, &Err)) << Err;
+  EXPECT_EQ("hit_mem", Resp.Tier);
+  EXPECT_EQ(LocalBytes, Resp.Body);
+  close(Fd);
+  Server2.stop();
+  EXPECT_EQ(0u, Server2.queue().admitted());
+}
+
+TEST(CompileServer, CacheHitsSkipAdmission) {
+  // QueueDepth 0 sheds everything that needs admission, so an ok answer
+  // proves the hit never reached the queue or the pool.
+  ResultCache Cache;
+  CompileRequest Req = tinyRequest();
+  std::string Err;
+  auto F = parseFunction(Req.Body, &Err);
+  ASSERT_TRUE(F.has_value()) << Err;
+  PipelineConfig C = Req.toConfig();
+  C.Cache = &Cache;
+  const std::string LocalBytes =
+      ResultCache::serializeResult(runPipeline(*F, C));
+
+  ServerOptions SO;
+  SO.SocketPath = "server_test_hit_no_admit.sock"; // never started
+  SO.Workers = 1;
+  SO.QueueDepth = 0;
+  SO.Cache = &Cache;
+  CompileServer Server(SO);
+
+  CompileResponse Hit = Server.handleRequest(encodeRequest(Req));
+  EXPECT_EQ(ResponseStatus::Ok, Hit.Status);
+  EXPECT_EQ("hit_mem", Hit.Tier);
+  EXPECT_EQ(LocalBytes, Hit.Body);
+
+  CompileRequest Cold = tinyRequest();
+  Cold.S = Scheme::Select;
+  CompileResponse Shed = Server.handleRequest(encodeRequest(Cold));
+  EXPECT_EQ(ResponseStatus::Shed, Shed.Status);
+  EXPECT_EQ(0u, Server.queue().admitted());
+  EXPECT_EQ(1u, Server.queue().shed());
+}
+
+TEST(CompileServer, CacheCountersAreExactPerRequest) {
+  ResultCache Cache;
+  ServerOptions SO;
+  SO.SocketPath = "server_test_hit_counters.sock"; // never started
+  SO.Workers = 1;
+  SO.Cache = &Cache;
+  CompileServer Server(SO);
+
+  constexpr unsigned Hits = 5;
+  const std::string Payload = encodeRequest(tinyRequest());
+  CompileResponse Miss = Server.handleRequest(Payload);
+  ASSERT_EQ(ResponseStatus::Ok, Miss.Status);
+  EXPECT_EQ("miss", Miss.Tier);
+  for (unsigned I = 0; I != Hits; ++I) {
+    CompileResponse Hit = Server.handleRequest(Payload);
+    EXPECT_EQ("hit_mem", Hit.Tier);
+    EXPECT_EQ(Miss.Body, Hit.Body);
+  }
+  ResultCacheStats CS = Cache.stats();
+  EXPECT_EQ(1u, CS.Misses);
+  EXPECT_EQ(Hits, CS.MemHits);
+  EXPECT_EQ(0u, CS.DiskHits);
+  EXPECT_EQ(1u, CS.Stores);
+  EXPECT_EQ(1u, Server.queue().admitted());
+}
+
+TEST(CompileServer, VerifyTurnsEachHitIntoOneRecompile) {
+  ResultCacheOptions CO;
+  CO.VerifyFraction = 1;
+  ResultCache Cache(CO);
+  ServerOptions SO;
+  SO.SocketPath = "server_test_hit_verify.sock"; // never started
+  SO.Workers = 1;
+  SO.Cache = &Cache;
+  CompileServer Server(SO);
+
+  constexpr unsigned Repeats = 3;
+  const std::string Payload = encodeRequest(tinyRequest());
+  CompileResponse First = Server.handleRequest(Payload);
+  ASSERT_EQ(ResponseStatus::Ok, First.Status);
+  for (unsigned I = 0; I != Repeats; ++I) {
+    CompileResponse R = Server.handleRequest(Payload);
+    ASSERT_EQ(ResponseStatus::Ok, R.Status);
+    EXPECT_EQ("miss", R.Tier); // hijacked: answered by the recompile
+    EXPECT_EQ(First.Body, R.Body);
+    EXPECT_EQ(I + 1, Cache.stats().VerifyRecompiles);
+  }
+  ResultCacheStats CS = Cache.stats();
+  EXPECT_EQ(0u, CS.VerifyMismatches);
+  EXPECT_EQ(0u, CS.Hits);
+  EXPECT_EQ(1u + Repeats, Server.queue().admitted());
 }
 
 TEST(CompileServer, StructuredErrorsNeverKillTheServer) {
@@ -886,7 +1004,27 @@ TEST(CompileServer, TracedRequestEchoesSpanSummary) {
   EXPECT_EQ(0u, Resp.TraceId);
   EXPECT_TRUE(Resp.Spans.empty());
 
-  // A traced one echoes the id and the span tree.
+  auto SpanCount = [&](const char *Name, unsigned Depth) {
+    unsigned N = 0;
+    for (const WireSpan &S : Resp.Spans)
+      N += S.Name == Name && S.Depth == Depth;
+    return N;
+  };
+  // The whole-request span contains every other span in time.
+  auto ExpectContained = [&] {
+    const WireSpan *Request = nullptr;
+    for (const WireSpan &S : Resp.Spans)
+      if (S.Name == "request")
+        Request = &S;
+    ASSERT_NE(nullptr, Request);
+    for (const WireSpan &S : Resp.Spans) {
+      EXPECT_GE(S.BeginNs, Request->BeginNs);
+      EXPECT_LE(S.BeginNs + S.DurNs, Request->BeginNs + Request->DurNs);
+    }
+  };
+
+  // A traced one echoes the id and the span tree. It is a hit, answered
+  // on the connection thread: no queue wait, no compile.
   CompileRequest Req = tinyRequest();
   Req.TraceId = deriveTraceId(11, 7);
   ASSERT_TRUE(transact(Fd, Req, Resp, &Err)) << Err;
@@ -895,34 +1033,30 @@ TEST(CompileServer, TracedRequestEchoesSpanSummary) {
   EXPECT_EQ(Req.TraceId, Resp.TraceId);
   EXPECT_GT(Resp.ServerPid, 0u);
   ASSERT_FALSE(Resp.Spans.empty());
-
-  auto HasSpan = [&](const char *Name, unsigned Depth) {
-    for (const WireSpan &S : Resp.Spans)
-      if (S.Name == Name && S.Depth == Depth)
-        return true;
-    return false;
-  };
-  EXPECT_TRUE(HasSpan("request", 0));
-  EXPECT_TRUE(HasSpan("parse", 1));
-  EXPECT_TRUE(HasSpan("queue_wait", 1));
-  EXPECT_TRUE(HasSpan("compile", 1));
-  EXPECT_TRUE(HasSpan("cache.hit_mem", 2));
+  EXPECT_EQ(1u, SpanCount("request", 0));
+  EXPECT_EQ(1u, SpanCount("parse", 1));
+  EXPECT_EQ(1u, SpanCount("cache.hit_mem", 2));
+  EXPECT_EQ(0u, SpanCount("queue_wait", 1));
+  EXPECT_EQ(0u, SpanCount("compile", 1));
   EXPECT_FALSE(Resp.ThreadNames.empty());
+  ExpectContained();
 
-  // The whole-request span contains every other span in time.
-  const WireSpan *Request = nullptr;
-  for (const WireSpan &S : Resp.Spans)
-    if (S.Name == "request")
-      Request = &S;
-  ASSERT_NE(nullptr, Request);
-  for (const WireSpan &S : Resp.Spans) {
-    EXPECT_GE(S.BeginNs, Request->BeginNs);
-    EXPECT_LE(S.BeginNs + S.DurNs, Request->BeginNs + Request->DurNs);
-  }
+  // A traced miss probes once, waits for a worker once, compiles once.
+  Req.S = Scheme::Select;
+  Req.TraceId = deriveTraceId(11, 8);
+  ASSERT_TRUE(transact(Fd, Req, Resp, &Err)) << Err;
+  ASSERT_EQ(ResponseStatus::Ok, Resp.Status);
+  EXPECT_EQ("miss", Resp.Tier);
+  EXPECT_EQ(1u, SpanCount("request", 0));
+  EXPECT_EQ(1u, SpanCount("cache.miss", 2));
+  EXPECT_EQ(1u, SpanCount("queue_wait", 1));
+  EXPECT_EQ(1u, SpanCount("compile", 1));
+  EXPECT_EQ(1u, SpanCount("cache.store", 2));
+  ExpectContained();
 
   close(Fd);
   Server.stop();
-  EXPECT_EQ(1u, Server.serverMetrics().TracedRequests.load());
+  EXPECT_EQ(2u, Server.serverMetrics().TracedRequests.load());
   EXPECT_EQ(0u, Server.serverMetrics().TraceDropped.load());
 }
 

@@ -46,8 +46,9 @@ const char *UsageText =
     "  --socket=PATH          unix socket path (required)\n"
     "  --workers=N            compile workers (default 0 = hardware\n"
     "                         concurrency)\n"
-    "  --queue-depth=N        admission bound: max in-flight requests\n"
-    "                         before shedding (default 64; 0 sheds all)\n"
+    "  --queue-depth=N        admission bound: max in-flight compiles\n"
+    "                         (cache misses) before shedding (default 64;\n"
+    "                         0 sheds every miss; hits are never shed)\n"
     "  --max-frame-bytes=N    per-frame payload cap (default 16 MiB)\n"
     "  --cache-dir=DIR        persistent cache tier (dra-cache-v1 files)\n"
     "  --cache-mem-mb=N       in-memory cache budget in MiB (default 64)\n"
