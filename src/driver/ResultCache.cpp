@@ -603,16 +603,15 @@ void ResultCache::diskStore(uint64_t Key, const std::string &Payload) {
 // PipelineCache interface
 //===----------------------------------------------------------------------===//
 
-bool ResultCache::lookupPayload(const Function &Src, const PipelineConfig &C,
-                                std::string &Payload, const char **Tier) {
-  uint64_t Key = cacheKey(Src, C);
-  uint64_t Begin = (Metrics || C.Trace) ? steadyClockNs() : 0;
+ResultCache::Probe ResultCache::probeKey(uint64_t Key, std::string &Payload,
+                                         TraceContext *Trace) {
+  uint64_t Begin = (Metrics || Trace) ? steadyClockNs() : 0;
 
   // Request-scoped trace: one span per probe, named by its outcome, so a
   // traced request shows *which* tier answered (or that nothing did).
   auto TraceProbe = [&](const char *Name) {
-    if (C.Trace)
-      C.Trace->record(Name, Begin, steadyClockNs(), /*Depth=*/2);
+    if (Trace)
+      Trace->record(Name, Begin, steadyClockNs(), /*Depth=*/2);
   };
 
   bool FromDisk = false;
@@ -620,15 +619,15 @@ bool ResultCache::lookupPayload(const Function &Src, const PipelineConfig &C,
     if (!diskLookup(Key, Payload)) {
       Misses.fetch_add(1, std::memory_order_relaxed);
       TraceProbe("cache.miss");
-      return false;
+      return Probe::Miss;
     }
     FromDisk = true;
     memInsert(Key, Payload); // Promote so the next hit is lock-cheap.
   }
 
   if (shouldVerify(Key)) {
-    // Hijack the hit: report a miss so the caller recompiles; store()
-    // compares the fresh payload against this one.
+    // Hijack the hit: the caller recompiles, and store() compares the
+    // fresh payload against this one.
     {
       std::lock_guard<std::mutex> Lock(PendingM);
       PendingVerify[Key] = std::move(Payload);
@@ -636,17 +635,25 @@ bool ResultCache::lookupPayload(const Function &Src, const PipelineConfig &C,
     VerifyRecompiles.fetch_add(1, std::memory_order_relaxed);
     Misses.fetch_add(1, std::memory_order_relaxed);
     TraceProbe("cache.verify_miss");
-    return false;
+    return Probe::Sampled;
   }
 
   TraceProbe(FromDisk ? "cache.hit_disk" : "cache.hit_mem");
-  *Tier = FromDisk ? "disk" : "mem";
   (FromDisk ? DiskHits : MemHits).fetch_add(1, std::memory_order_relaxed);
   if (Metrics)
     Metrics->observe(
         "cache.hit_us",
         static_cast<double>(steadyClockNs() - Begin) / 1000.0,
         {{"tier", FromDisk ? "disk" : "mem"}});
+  return FromDisk ? Probe::HitDisk : Probe::HitMem;
+}
+
+bool ResultCache::lookupPayload(const Function &Src, const PipelineConfig &C,
+                                std::string &Payload, const char **Tier) {
+  const Probe P = probeKey(cacheKey(Src, C), Payload, C.Trace);
+  if (P != Probe::HitMem && P != Probe::HitDisk)
+    return false;
+  *Tier = P == Probe::HitMem ? "mem" : "disk";
   return true;
 }
 

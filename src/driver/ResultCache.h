@@ -91,15 +91,30 @@ public:
 
   explicit ResultCache(const ResultCacheOptions &O = {});
 
-  /// The one probe of both tiers for (\p Src, \p C): key, memory tier,
-  /// disk tier (an entry is decoded before it is promoted, so the memory
-  /// tier holds only store()'s serializations and disk entries that
-  /// decode), the verify hijack, the counters, `cache.hit_us` and the
-  /// C.Trace probe span. On a hit \p Payload holds the stored bytes —
-  /// exactly serializeResult of the result — and \p Tier is set to "mem"
-  /// or "disk"; the compile server answers hits with these bytes as they
-  /// are. On a miss (a verify-hijacked hit included) \p Payload is
-  /// unspecified and \p Tier untouched.
+  /// What one probe found.
+  enum class Probe : uint8_t {
+    Miss,    ///< In neither tier.
+    HitMem,  ///< Answered by the memory tier.
+    HitDisk, ///< Answered by the disk tier (and promoted to memory).
+    Sampled, ///< A hit that verify sampling hijacked: the payload is
+             ///< stashed for store() to compare, and the caller must
+             ///< recompile and store.
+  };
+
+  /// The one probe of both tiers for \p Key: memory tier, disk tier (an
+  /// entry is decoded before it is promoted, so the memory tier holds only
+  /// store()'s serializations and disk entries that decode), the verify
+  /// hijack, the counters, `cache.hit_us` and the \p Trace probe span.
+  /// Miss and Sampled each count one cache.misses; Sampled also counts a
+  /// verify recompile. On HitMem/HitDisk \p Payload holds the stored
+  /// bytes — exactly serializeResult of the result — and the compile
+  /// server answers with them as they are; otherwise it is unspecified.
+  Probe probeKey(uint64_t Key, std::string &Payload,
+                 TraceContext *Trace = nullptr);
+
+  /// probeKey(cacheKey(\p Src, \p C), ..., C.Trace) as a yes/no: on a hit
+  /// \p Tier is set to "mem" or "disk"; a Sampled hit reads as a miss and
+  /// leaves \p Tier untouched.
   bool lookupPayload(const Function &Src, const PipelineConfig &C,
                      std::string &Payload, const char **Tier);
 
@@ -175,8 +190,8 @@ private:
   std::atomic<double> VerifyFrac{0};
 
   /// Payloads of hits hijacked for verification, keyed by fingerprint:
-  /// lookupPayload() stashes the payload and reports a miss; the
-  /// recompile's store() compares against it.
+  /// probeKey() stashes the payload and reports Sampled; the recompile's
+  /// store() compares against it.
   std::mutex PendingM;
   std::unordered_map<uint64_t, std::string> PendingVerify;
 

@@ -8,6 +8,7 @@
 #include <cstring>
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -95,24 +96,37 @@ bool dra::writeFrame(int Fd, const std::string &Payload) {
   unsigned char Header[8];
   storeLe32(Header, FrameMagic);
   storeLe32(Header + 4, static_cast<uint32_t>(Payload.size()));
-  auto SendAll = [Fd](const char *P, size_t Len) {
-    size_t Sent = 0;
-    while (Sent < Len) {
-      // MSG_NOSIGNAL: a peer that disconnected mid-response surfaces as
-      // EPIPE (-> false) instead of killing the process with SIGPIPE.
-      ssize_t N = ::send(Fd, P + Sent, Len - Sent, MSG_NOSIGNAL);
-      if (N > 0) {
-        Sent += static_cast<size_t>(N);
-        continue;
-      }
-      if (N < 0 && errno == EINTR)
-        continue;
+  // Header and payload leave in one sendmsg: a separate send of the
+  // header would wake the reader for 8 bytes, and on a busy CPU it would
+  // then block again waiting for the payload.
+  iovec Iov[2] = {{Header, sizeof Header},
+                  {const_cast<char *>(Payload.data()), Payload.size()}};
+  msghdr Msg{};
+  Msg.msg_iov = Iov;
+  Msg.msg_iovlen = 2;
+  size_t Left = sizeof Header + Payload.size();
+  while (Left) {
+    // MSG_NOSIGNAL: a peer that disconnected mid-response surfaces as
+    // EPIPE (-> false) instead of killing the process with SIGPIPE.
+    ssize_t N = ::sendmsg(Fd, &Msg, MSG_NOSIGNAL);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0)
       return false;
+    // A partial send: skip the iovecs it finished, trim the one it split.
+    size_t Sent = static_cast<size_t>(N);
+    Left -= Sent;
+    while (Sent && Sent >= Msg.msg_iov->iov_len) {
+      Sent -= Msg.msg_iov->iov_len;
+      ++Msg.msg_iov;
+      --Msg.msg_iovlen;
     }
-    return true;
-  };
-  return SendAll(reinterpret_cast<const char *>(Header), sizeof Header) &&
-         SendAll(Payload.data(), Payload.size());
+    if (Sent) {
+      Msg.msg_iov->iov_base = static_cast<char *>(Msg.msg_iov->iov_base) + Sent;
+      Msg.msg_iov->iov_len -= Sent;
+    }
+  }
+  return true;
 }
 
 //===----------------------------------------------------------------------===//

@@ -110,9 +110,10 @@ const char *frameStatusName(FrameStatus S);
 FrameStatus readFrame(int Fd, std::string &Payload,
                       size_t MaxBytes = DefaultMaxFrameBytes);
 
-/// Writes one frame (magic + length + \p Payload) to stream socket \p Fd.
-/// Handles partial writes; returns false on any send failure (the peer
-/// disconnecting mid-response must not raise SIGPIPE or throw).
+/// Writes one frame (magic + length + \p Payload) to stream socket \p Fd
+/// with one sendmsg, looping on partial sends; returns false on any send
+/// failure (the peer disconnecting mid-response must not raise SIGPIPE
+/// or throw).
 bool writeFrame(int Fd, const std::string &Payload);
 
 //===----------------------------------------------------------------------===//

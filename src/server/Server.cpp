@@ -9,6 +9,7 @@
 #include <future>
 #include <optional>
 #include <sstream>
+#include <system_error>
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -67,6 +68,7 @@ void CompileServer::stop() {
     if (C.T.joinable())
       C.T.join();
   Conns.clear();
+  SM.ConnectionsOpen.store(0);
 
   Queue.drain();
   flushMetrics();
@@ -87,11 +89,29 @@ void CompileServer::acceptLoop() {
     }
     uint64_t ConnId = SM.Connections.fetch_add(1) + 1;
     std::lock_guard<std::mutex> Lock(ConnMtx);
+    // Join the threads of closed connections first, so the server holds
+    // one thread (and one stack mapping) per open connection, not one per
+    // connection it ever accepted.
+    for (auto It = Conns.begin(); It != Conns.end();) {
+      if (!It->Done.load()) {
+        ++It;
+        continue;
+      }
+      It->T.join();
+      It = Conns.erase(It);
+    }
     Conns.emplace_back();
     Conn &C = Conns.back();
     C.Fd = Fd;
     C.Id = ConnId;
-    C.T = std::thread([this, &C] { serveConnection(C); });
+    try {
+      C.T = std::thread([this, &C] { serveConnection(C); });
+    } catch (const std::system_error &) {
+      // Out of threads or mappings: refuse this connection, keep serving.
+      Conns.pop_back();
+      ::close(Fd);
+    }
+    SM.ConnectionsOpen.store(Conns.size());
   }
 }
 
@@ -127,6 +147,7 @@ void CompileServer::serveConnection(Conn &Self) {
     Self.Fd = -1; // stop() must not shutdown() a recycled descriptor
   }
   ::close(Fd);
+  Self.Done.store(true); // the acceptor may now join and erase Self
 }
 
 CompileResponse CompileServer::handleRequest(const std::string &Payload,
@@ -242,6 +263,34 @@ CompileResponse CompileServer::handleRequest(const std::string &Payload,
     // pipeline series never explode under live traffic.
     C.Portfolio.Metrics = Opts.Metrics;
   }
+  // A hit is answered here, with the stored bytes: they are the ok-body
+  // by definition, so it needs no admission, no worker and no codec.
+  auto AnswerHit = [&](ResultCache::Probe P) {
+    if (P != ResultCache::Probe::HitMem && P != ResultCache::Probe::HitDisk)
+      return false;
+    Resp.Status = ResponseStatus::Ok;
+    Resp.Tier = P == ResultCache::Probe::HitMem ? "hit_mem" : "hit_disk";
+    return true;
+  };
+
+  // Bytes answered ok before: probe by the indexed key, skipping parse,
+  // verify and cacheKey. That probe is this request's only one; if it
+  // does not answer, the full path below recompiles without probing.
+  Hash128 Digest;
+  uint64_t IndexedKey = 0;
+  bool Probed = false;
+  if (Opts.Cache) {
+    Digest = Index.digest(Req);
+    if (Index.lookup(Digest, IndexedKey)) {
+      Probed = true;
+      if (AnswerHit(Opts.Cache->probeKey(IndexedKey, Resp.Body, Trace))) {
+        SM.IndexHits.fetch_add(1);
+        return Finish();
+      }
+    }
+  }
+  SM.IndexMisses.fetch_add(1);
+
   std::optional<Function> F;
   {
     ScopedTraceSpan Span(Trace, "parse", /*Depth=*/1);
@@ -253,13 +302,17 @@ CompileResponse CompileServer::handleRequest(const std::string &Payload,
       return Fail("invalid function: " + Err);
   }
 
-  // A hit is answered here, with the stored bytes: they are the ok-body
-  // by definition, so it needs no admission, no worker and no codec.
-  const char *Tier = nullptr;
-  if (Opts.Cache && Opts.Cache->lookupPayload(*F, C, Resp.Body, &Tier)) {
-    Resp.Status = ResponseStatus::Ok;
-    Resp.Tier = std::string("hit_") + Tier;
-    return Finish();
+  uint64_t Key = 0;
+  if (Opts.Cache) {
+    Key = ResultCache::cacheKey(*F, C);
+    if (Probed && Key != IndexedKey) {
+      SM.IndexMismatches.fetch_add(1);
+      Index.insert(Digest, Key);
+    }
+    if (!Probed && AnswerHit(Opts.Cache->probeKey(Key, Resp.Body, Trace))) {
+      Index.insert(Digest, Key);
+      return Finish();
+    }
   }
 
   if (!Queue.tryAdmit()) {
@@ -273,6 +326,8 @@ CompileResponse CompileServer::handleRequest(const std::string &Payload,
 
   if (Resp.Status == ResponseStatus::Error)
     SM.Errors.fetch_add(1);
+  else if (Opts.Cache)
+    Index.insert(Digest, Key); // compilePipeline stored it under Key
   return Finish();
 }
 
@@ -376,12 +431,16 @@ void CompileServer::writeStatsJson(std::ostream &OS) const {
      << ", \"queue_depth\": " << Queue.depth()
      << ", \"queue_limit\": " << Queue.limit()
      << ", \"connections\": " << SM.Connections.load()
+     << ", \"connections_open\": " << SM.ConnectionsOpen.load()
      << ", \"requests\": " << SM.Requests.load()
      << ", \"ctl_requests\": " << SM.CtlRequests.load()
      << ", \"accepted\": " << Queue.admitted()
      << ", \"shed\": " << Queue.shed()
      << ", \"errors\": " << SM.Errors.load()
-     << ", \"bad_frames\": " << SM.BadFrames.load() << "}, ";
+     << ", \"bad_frames\": " << SM.BadFrames.load()
+     << ", \"index_hits\": " << SM.IndexHits.load()
+     << ", \"index_misses\": " << SM.IndexMisses.load()
+     << ", \"index_mismatches\": " << SM.IndexMismatches.load() << "}, ";
 
   OS << "\"trace\": {"
      << "\"requests\": " << SM.TracedRequests.load()

@@ -9,12 +9,24 @@
 /// answers framed CompileRequests (server/Protocol.h) with the same bytes
 /// a local compile would produce. Per request:
 ///
-///   decode -> parse + verify the function
-///     -> ResultCache::lookupPayload on the connection thread; a hit
-///        (hit_mem / hit_disk) is answered with the stored bytes as they
-///        are, never admitted and never shed
+///   decode -> digest the request (server/RequestIndex.h)
+///     -> bytes answered before: ResultCache::probeKey with the indexed
+///        key; a hit is the answer, with no parse, verify or key
+///     -> otherwise parse + verify the function, ResultCache::cacheKey,
+///        probeKey (unless the index path already probed); a hit
+///        (hit_mem / hit_disk) is answered on the connection thread with
+///        the stored bytes as they are, never admitted and never shed
 ///     -> a miss: admission control -> compilePipeline on the thread pool
 ///        (compile, store) -> respond with ResultCache::serializeResult
+///
+/// Each request probes the cache exactly once. A digest enters the
+/// request index only after its body parsed, verified and was answered
+/// ok, by a hit or by a compile that stored; errors, sheds and failed
+/// compiles never insert. When the index path's probe misses (evicted,
+/// cold disk) or is verify-sampled, the request continues down the full
+/// path without probing again, so `--cache-verify` recompiles it from a
+/// fresh parse; if the fresh key differs from the indexed one, the entry
+/// is replaced and `server.index_mismatches` counts it.
 ///
 /// The response body is the cache's canonical serialization — the very
 /// byte string `dra-batch` would put in the cache for the same input, and
@@ -24,11 +36,13 @@
 ///
 /// Threading model: one acceptor thread, one thread per connection
 /// (connections are long-lived and few; clients multiplex requests over
-/// them sequentially), and a shared ThreadPool that bounds actual compile
-/// concurrency. The AdmissionQueue bounds *admitted* work — misses only,
-/// so `server.accepted` counts misses — independently of connection
-/// count: beyond `QueueDepth` in-flight compiles the server sheds
-/// (`status=shed`) instead of queueing without bound.
+/// them sequentially; the acceptor joins the threads of closed
+/// connections before it starts the next), and a shared ThreadPool that
+/// bounds actual compile concurrency. The AdmissionQueue bounds
+/// *admitted* work — misses only, so `server.accepted` counts misses —
+/// independently of connection count: beyond `QueueDepth` in-flight
+/// compiles the server sheds (`status=shed`) instead of queueing without
+/// bound.
 ///
 /// Shutdown (`stop()`, the SIGTERM path) is graceful: stop accepting,
 /// half-close every connection for reading (in-flight responses still go
@@ -46,6 +60,7 @@
 #include "driver/Trace.h"
 #include "server/FlightRecorder.h"
 #include "server/Protocol.h"
+#include "server/RequestIndex.h"
 #include "server/RequestQueue.h"
 #include "server/ServerMetrics.h"
 
@@ -127,12 +142,14 @@ public:
   const ServerMetrics &serverMetrics() const { return SM; }
   const AdmissionQueue &queue() const { return Queue; }
   const FlightRecorder &flightRecorder() const { return Recorder; }
+  const RequestIndex &requestIndex() const { return Index; }
   unsigned workerCount() const { return Workers; }
 
 private:
   struct Conn {
     int Fd = -1; ///< -1 once the connection thread has closed it.
     uint64_t Id = 0; ///< 1-based accept order; trace/flight-record label.
+    std::atomic<bool> Done{false}; ///< The thread's last action sets it.
     std::thread T;
   };
 
@@ -149,6 +166,7 @@ private:
   AdmissionQueue Queue;
   ServerMetrics SM;
   FlightRecorder Recorder;
+  RequestIndex Index;
   uint64_t StartNs = 0;            ///< start() time, for uptime reporting.
   const uint64_t TraceSeed;        ///< Construction time; salts derived ids.
   std::atomic<uint64_t> TraceSeq{0}; ///< Counter for server-derived ids.
@@ -162,7 +180,10 @@ private:
   std::atomic<bool> Stopping{false};
 
   std::mutex ConnMtx;
-  std::list<Conn> Conns; ///< Stable references for the per-conn threads.
+  /// Stable references for the per-conn threads. Holds every connection
+  /// whose thread is not yet joined: the open ones, plus those that
+  /// closed since the last accept (which joins and erases them).
+  std::list<Conn> Conns;
 };
 
 } // namespace dra

@@ -24,9 +24,15 @@
 ///   counters: server.connections, server.requests, server.accepted
 ///             (admitted misses; hits are never admitted),
 ///             server.shed, server.errors, server.bad_frames,
-///             server.ctl_requests, trace.requests, trace.spans,
-///             trace.dropped_spans, trace.slow_requests
-///   gauges:   server.queue_depth, server.queue_limit, server.workers
+///             server.ctl_requests, server.index_hits (answered from
+///             the request index), server.index_misses (took the full
+///             parse path), server.index_mismatches (an indexed key
+///             differed from the fresh one; CI gates it at 0),
+///             trace.requests, trace.spans, trace.dropped_spans,
+///             trace.slow_requests
+///   gauges:   server.queue_depth, server.queue_limit, server.workers,
+///             server.connections_open (connection threads not yet
+///             joined)
 ///
 /// The trace.* series cover request-scoped tracing: how many requests
 /// opted in (`traceid=` on the wire), how many spans were collected, how
@@ -61,6 +67,11 @@ public:
   std::atomic<uint64_t> TraceSpans{0};     ///< Spans collected, all reqs.
   std::atomic<uint64_t> TraceDropped{0};   ///< Spans lost to the cap.
   std::atomic<uint64_t> SlowRequests{0};   ///< Requests >= slow threshold.
+  std::atomic<uint64_t> IndexHits{0};       ///< Answered by the index path.
+  std::atomic<uint64_t> IndexMisses{0};     ///< Took the full parse path.
+  std::atomic<uint64_t> IndexMismatches{0}; ///< Indexed key != fresh key.
+  /// Connection threads not yet joined; set by the acceptor.
+  std::atomic<uint64_t> ConnectionsOpen{0};
 
   /// Records one request's service latency. \p Tier is the cache tier for
   /// ok responses ("hit_mem" | "hit_disk" | "miss") and the outcome for
@@ -82,6 +93,9 @@ public:
     M.setCount("server.shed", double(Q.shed()));
     M.setCount("server.errors", double(Errors.load()));
     M.setCount("server.bad_frames", double(BadFrames.load()));
+    M.setCount("server.index_hits", double(IndexHits.load()));
+    M.setCount("server.index_misses", double(IndexMisses.load()));
+    M.setCount("server.index_mismatches", double(IndexMismatches.load()));
     M.setCount("trace.requests", double(TracedRequests.load()));
     M.setCount("trace.spans", double(TraceSpans.load()));
     M.setCount("trace.dropped_spans", double(TraceDropped.load()));
@@ -89,6 +103,7 @@ public:
     M.gauge("server.queue_depth", double(Q.depth()));
     M.gauge("server.queue_limit", double(Q.limit()));
     M.gauge("server.workers", double(Workers));
+    M.gauge("server.connections_open", double(ConnectionsOpen.load()));
   }
 };
 

@@ -5,6 +5,7 @@
 #include "adt/BitVector.h"
 #include "adt/IndexSet.h"
 #include "adt/Rng.h"
+#include "adt/SipHash.h"
 #include "adt/Statistics.h"
 
 #include <gtest/gtest.h>
@@ -365,4 +366,75 @@ TEST(BitMatrix, ArenaBackedRowsStartZero) {
   M.init(A, 300);
   for (uint32_t I = 0; I != 300; ++I)
     EXPECT_EQ(M.rowCount(I), 0u) << I;
+}
+
+//===----------------------------------------------------------------------===//
+// SipHash
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::vector<unsigned char> counting(size_t N) {
+  std::vector<unsigned char> V(N);
+  for (size_t I = 0; I != N; ++I)
+    V[I] = static_cast<unsigned char>(I);
+  return V;
+}
+
+} // namespace
+
+TEST(SipHash, ReferenceVectors) {
+  // Key 00 01 .. 0f, as in the paper and the reference implementation.
+  const uint64_t K0 = 0x0706050403020100ull, K1 = 0x0f0e0d0c0b0a0908ull;
+  // SipHash-2-4, 64-bit, message 00 .. 0e (the paper's appendix A).
+  std::vector<unsigned char> M = counting(15);
+  SipHasher<2, 4> H64(K0, K1, /*Wide=*/false);
+  H64.update(M.data(), M.size());
+  EXPECT_EQ(0xa129ca6149be45e5ull, H64.finish64());
+  // SipHash-2-4, 128-bit, empty message (vectors_sip128[0]).
+  SipHasher<2, 4> H128(K0, K1, /*Wide=*/true);
+  Hash128 D = H128.finish128();
+  EXPECT_EQ(0xe6a825ba047f81a3ull, D.Lo);
+  EXPECT_EQ(0x930255c71472f66dull, D.Hi);
+}
+
+TEST(SipHash, OneThreeMatchesCPythonBytesHash) {
+  // CPython 3.11+ hashes bytes with SipHash-1-3 (64-bit); with
+  // PYTHONHASHSEED=0 its key is zero, so these are
+  // hash(bytes(range(n))) & (2**64 - 1).
+  const std::pair<size_t, uint64_t> Expected[] = {
+      {1, 0x68a914128e01e473ull},  {7, 0x2f098ab0c751325aull},
+      {8, 0xead411e67ebe2eeaull},  {15, 0xf30eb725bb91c9eaull},
+      {64, 0x75e05fd5bbc870c6ull}};
+  for (auto [N, Want] : Expected) {
+    std::vector<unsigned char> M = counting(N);
+    SipHash13 H(0, 0, /*Wide=*/false);
+    H.update(M.data(), M.size());
+    EXPECT_EQ(Want, H.finish64()) << N << " bytes";
+  }
+}
+
+TEST(SipHash, IncrementalUpdatesMatchOneShot) {
+  std::vector<unsigned char> M = counting(100);
+  SipHash13 Whole(3, 5, /*Wide=*/true);
+  Whole.update(M.data(), M.size());
+  const Hash128 Want = Whole.finish128();
+  for (size_t Step : {1u, 3u, 7u, 8u, 13u, 64u}) {
+    SipHash13 H(3, 5, /*Wide=*/true);
+    for (size_t I = 0; I < M.size(); I += Step)
+      H.update(M.data() + I, std::min(Step, M.size() - I));
+    EXPECT_EQ(Want, H.finish128()) << "step " << Step;
+  }
+  // Every byte and the length matter.
+  for (size_t I = 0; I < M.size(); I += 9) {
+    std::vector<unsigned char> Flip = M;
+    Flip[I] ^= 1;
+    SipHash13 H(3, 5, /*Wide=*/true);
+    H.update(Flip.data(), Flip.size());
+    EXPECT_FALSE(Want == H.finish128()) << "byte " << I;
+  }
+  SipHash13 Longer(3, 5, /*Wide=*/true);
+  M.push_back(0);
+  Longer.update(M.data(), M.size());
+  EXPECT_FALSE(Want == Longer.finish128());
 }

@@ -5,18 +5,23 @@
 // Covers the service subsystem bottom-up: payload encode/decode (strict
 // rejection of malformed documents), framing over a socketpair (clean
 // EOF, truncation, bad magic, oversize prefixes, garbage payloads — a
-// structured error or a dropped connection, never a crash), the
-// admission queue's bounds and drain barrier, and the full CompileServer
-// on a real unix socket: response bytes identical to a local compile,
-// cache-tier reporting, hits answered without admission, overload
-// shedding, client-disconnect survival, and graceful-stop draining.
+// structured error or a dropped connection, never a crash; frames larger
+// than the send buffer), the admission queue's bounds and drain barrier,
+// the request index's digest and bounds, and the full CompileServer on a
+// real unix socket: response bytes identical to a local compile,
+// cache-tier reporting, hits answered without admission, repeats
+// answered through the request index, overload shedding,
+// client-disconnect survival, joined connection threads, and
+// graceful-stop draining.
 //
 //===----------------------------------------------------------------------===//
 
+#include "adt/Rng.h"
 #include "core/Features.h"
 #include "core/Portfolio.h"
 #include "server/FlightRecorder.h"
 #include "server/Protocol.h"
+#include "server/RequestIndex.h"
 #include "server/RequestQueue.h"
 #include "server/Server.h"
 
@@ -69,6 +74,13 @@ std::string leHeader(uint32_t Magic, uint32_t Len) {
 void sendRaw(int Fd, const std::string &Bytes) {
   ASSERT_EQ(ssize_t(Bytes.size()),
             send(Fd, Bytes.data(), Bytes.size(), MSG_NOSIGNAL));
+}
+
+/// \p Func with its name replaced by \p Name: different request bytes,
+/// the same content key (names are not part of it).
+std::string renamed(const std::string &Func, const std::string &Name) {
+  const size_t Begin = Func.find(' ') + 1;
+  return Func.substr(0, Begin) + Name + Func.substr(Func.find(' ', Begin));
 }
 
 /// Fresh empty scratch directory under the system temp dir.
@@ -252,6 +264,31 @@ TEST(Framing, WriteToClosedPeerFailsWithoutSignal) {
   bool First = writeFrame(Fds[0], "into the void");
   bool Second = writeFrame(Fds[0], "into the void");
   EXPECT_FALSE(First && Second);
+  close(Fds[0]);
+}
+
+TEST(Framing, LargeFrameSurvivesPartialSends) {
+  int Fds[2];
+  ASSERT_EQ(0, socketpair(AF_UNIX, SOCK_STREAM, 0, Fds));
+  // A small send buffer makes the one sendmsg return early many times.
+  int SndBuf = 4096;
+  ASSERT_EQ(0, setsockopt(Fds[0], SOL_SOCKET, SO_SNDBUF, &SndBuf,
+                          sizeof SndBuf));
+  std::string Big(1u << 20, '\0');
+  for (size_t I = 0; I != Big.size(); ++I)
+    Big[I] = char((I * 131 + I / 4096) & 0xff);
+  bool Wrote = false;
+  std::thread Writer([&] {
+    Wrote = writeFrame(Fds[0], Big) && writeFrame(Fds[0], "");
+  });
+  std::string Got;
+  EXPECT_EQ(FrameStatus::Ok, readFrame(Fds[1], Got));
+  EXPECT_TRUE(Got == Big); // not EXPECT_EQ: a 1 MiB diff is unreadable
+  EXPECT_EQ(FrameStatus::Ok, readFrame(Fds[1], Got));
+  EXPECT_EQ("", Got);
+  close(Fds[1]); // after a failed read this unblocks the writer
+  Writer.join();
+  EXPECT_TRUE(Wrote);
   close(Fds[0]);
 }
 
@@ -1023,8 +1060,9 @@ TEST(CompileServer, TracedRequestEchoesSpanSummary) {
     }
   };
 
-  // A traced one echoes the id and the span tree. It is a hit, answered
-  // on the connection thread: no queue wait, no compile.
+  // A traced one echoes the id and the span tree. It repeats the first
+  // request's bytes, so the request index answers it on the connection
+  // thread: no parse, no queue wait, no compile.
   CompileRequest Req = tinyRequest();
   Req.TraceId = deriveTraceId(11, 7);
   ASSERT_TRUE(transact(Fd, Req, Resp, &Err)) << Err;
@@ -1034,14 +1072,27 @@ TEST(CompileServer, TracedRequestEchoesSpanSummary) {
   EXPECT_GT(Resp.ServerPid, 0u);
   ASSERT_FALSE(Resp.Spans.empty());
   EXPECT_EQ(1u, SpanCount("request", 0));
-  EXPECT_EQ(1u, SpanCount("parse", 1));
+  EXPECT_EQ(0u, SpanCount("parse", 1));
   EXPECT_EQ(1u, SpanCount("cache.hit_mem", 2));
   EXPECT_EQ(0u, SpanCount("queue_wait", 1));
   EXPECT_EQ(0u, SpanCount("compile", 1));
   EXPECT_FALSE(Resp.ThreadNames.empty());
   ExpectContained();
 
+  // A first-seen body (the function renamed) takes the full path: one
+  // parse, then a hit through the content key.
+  Req.Body = renamed(TinyFunc, "tiny_traced");
+  Req.TraceId = deriveTraceId(11, 9);
+  ASSERT_TRUE(transact(Fd, Req, Resp, &Err)) << Err;
+  ASSERT_EQ(ResponseStatus::Ok, Resp.Status);
+  EXPECT_EQ("hit_mem", Resp.Tier);
+  EXPECT_EQ(1u, SpanCount("request", 0));
+  EXPECT_EQ(1u, SpanCount("parse", 1));
+  EXPECT_EQ(1u, SpanCount("cache.hit_mem", 2));
+  ExpectContained();
+
   // A traced miss probes once, waits for a worker once, compiles once.
+  Req.Body = TinyFunc;
   Req.S = Scheme::Select;
   Req.TraceId = deriveTraceId(11, 8);
   ASSERT_TRUE(transact(Fd, Req, Resp, &Err)) << Err;
@@ -1056,7 +1107,7 @@ TEST(CompileServer, TracedRequestEchoesSpanSummary) {
 
   close(Fd);
   Server.stop();
-  EXPECT_EQ(2u, Server.serverMetrics().TracedRequests.load());
+  EXPECT_EQ(3u, Server.serverMetrics().TracedRequests.load());
   EXPECT_EQ(0u, Server.serverMetrics().TraceDropped.load());
 }
 
@@ -1158,4 +1209,300 @@ TEST(CompileServer, FlightRecorderCapturesOutcomesAndSlowDetail) {
   EXPECT_FALSE(Server2.flightRecorder().enabled());
   EXPECT_TRUE(Server2.flightRecorder().recent(10).empty());
   EXPECT_EQ(0u, Server2.serverMetrics().TraceSpans.load());
+}
+
+//===----------------------------------------------------------------------===//
+// Request index
+//===----------------------------------------------------------------------===//
+
+TEST(RequestIndex, DigestCoversCompileFieldsAndBodyButNotTraceId) {
+  RequestIndex Index;
+  const CompileRequest Base = tinyRequest();
+  const Hash128 D = Index.digest(Base);
+  EXPECT_EQ(D, Index.digest(Base)); // deterministic within one index
+
+  CompileRequest Traced = Base;
+  Traced.TraceId = deriveTraceId(1, 2);
+  EXPECT_EQ(D, Index.digest(Traced));
+
+  std::vector<CompileRequest> Variants(8, Base);
+  Variants[0].S = Scheme::Select;
+  Variants[1].Auto = true;
+  Variants[2].BaselineK = 7;
+  Variants[3].RegN = 13;
+  Variants[4].DiffN = 9;
+  Variants[5].DiffW = 4;
+  Variants[6].RemapStarts = 9;
+  Variants[7].Body += " "; // one trailing byte
+  for (const CompileRequest &V : Variants)
+    EXPECT_FALSE(D == Index.digest(V));
+}
+
+TEST(RequestIndex, CapacityIsFixedAndConflictsReplace) {
+  RequestIndex Index;
+  EXPECT_EQ(0u, Index.size());
+  // Synthetic, well-spread digests: nothing here depends on the digest key.
+  Rng R(7);
+  // A warm service's few hundred bodies all stay. (A direct-mapped table
+  // of the same size loses 6 of these 320 to collisions.)
+  std::vector<Hash128> Warm(320);
+  for (size_t I = 0; I != Warm.size(); ++I) {
+    Warm[I] = {R.next(), R.next()};
+    Index.insert(Warm[I], I);
+  }
+  for (size_t I = 0; I != Warm.size(); ++I) {
+    uint64_t Key = ~0ull;
+    EXPECT_TRUE(Index.lookup(Warm[I], Key) && Key == I) << I;
+  }
+  EXPECT_EQ(Warm.size(), Index.size());
+
+  std::vector<Hash128> Ds(10 * RequestIndex::Capacity);
+  for (Hash128 &D : Ds)
+    D = {R.next(), R.next()};
+  for (size_t I = 0; I != Ds.size(); ++I) {
+    Index.insert(Ds[I], I);
+    ASSERT_LE(Index.size(), RequestIndex::Capacity);
+  }
+  size_t Hits = 0;
+  for (size_t I = 0; I != Ds.size(); ++I) {
+    uint64_t Key = ~0ull;
+    if (Index.lookup(Ds[I], Key)) {
+      ++Hits;
+      EXPECT_EQ(I, Key);
+    }
+  }
+  EXPECT_LE(Hits, RequestIndex::Capacity);
+  EXPECT_GE(Ds.size() - Hits, 9 * RequestIndex::Capacity);
+
+  // Insert fresh digests until one replaces the first: from then on the
+  // first misses and the replacement hits.
+  RequestIndex Fresh;
+  const Hash128 First = {R.next(), R.next()};
+  Fresh.insert(First, 1);
+  uint64_t Key = 0;
+  Hash128 Other;
+  for (uint64_t I = 2; Fresh.lookup(First, Key); ++I) {
+    Other = {R.next(), R.next()};
+    Fresh.insert(Other, I);
+    ASSERT_LT(I, 100 * RequestIndex::Capacity);
+  }
+  EXPECT_TRUE(Fresh.lookup(Other, Key));
+  EXPECT_FALSE(Fresh.lookup(First, Key));
+}
+
+namespace {
+
+/// Counter \p Name from \p Server's flushed metrics (-1 when absent).
+double flushedCount(CompileServer &Server, MetricsRegistry &M,
+                    const char *Name) {
+  Server.flushMetrics();
+  for (const auto &C : M.counters())
+    if (C.Name == Name)
+      return C.Value;
+  return -1;
+}
+
+} // namespace
+
+TEST(CompileServer, IndexHitBytesMatchFullPathAndLocalCompile) {
+  ResultCache Cache;
+  MetricsRegistry Metrics;
+  ServerOptions SO;
+  SO.SocketPath = "server_test_index_parity.sock"; // never started
+  SO.Workers = 2;
+  SO.Cache = &Cache;
+  SO.Metrics = &Metrics;
+  SO.Portfolio = PortfolioMode::Race;
+  SO.PortfolioJobs = 2;
+  CompileServer Server(SO);
+
+  std::string Err;
+  auto F = parseFunction(TinyFunc, &Err);
+  ASSERT_TRUE(F.has_value()) << Err;
+  const Scheme Schemes[] = {Scheme::Baseline, Scheme::OSpill, Scheme::Remap,
+                            Scheme::Select, Scheme::Coalesce};
+  std::vector<CompileRequest> Reqs;
+  for (Scheme S : Schemes) {
+    Reqs.push_back(tinyRequest());
+    Reqs.back().S = S;
+  }
+  Reqs.push_back(tinyRequest());
+  Reqs.back().Auto = true;
+
+  uint64_t Expected = 0;
+  for (const CompileRequest &Req : Reqs) {
+    PipelineConfig C = Req.toConfig();
+    std::string Local;
+    if (Req.Auto) {
+      C.Portfolio.Mode = PortfolioMode::Race;
+      C.Portfolio.Jobs = 2;
+      Local = ResultCache::serializeResult(runPortfolio(*F, C));
+    } else {
+      Local = ResultCache::serializeResult(runPipeline(*F, C));
+    }
+    const char *Name = Req.Auto ? "auto" : wireSchemeName(Req.S);
+
+    CompileResponse Miss = Server.handleRequest(encodeRequest(Req));
+    ASSERT_EQ(ResponseStatus::Ok, Miss.Status) << Name << ": " << Miss.Body;
+    EXPECT_EQ("miss", Miss.Tier) << Name;
+    EXPECT_EQ(Local, Miss.Body) << Name;
+
+    CompileRequest Renamed = Req;
+    Renamed.Body = renamed(TinyFunc, "tiny_renamed");
+    CompileResponse FullHit = Server.handleRequest(encodeRequest(Renamed));
+    EXPECT_EQ("hit_mem", FullHit.Tier) << Name;
+    EXPECT_EQ(Local, FullHit.Body) << Name;
+
+    CompileResponse IndexHit = Server.handleRequest(encodeRequest(Req));
+    EXPECT_EQ("hit_mem", IndexHit.Tier) << Name;
+    EXPECT_EQ(Local, IndexHit.Body) << Name;
+    ++Expected;
+    EXPECT_EQ(Expected, Server.serverMetrics().IndexHits.load()) << Name;
+  }
+  EXPECT_EQ(2 * Reqs.size(), Server.serverMetrics().IndexMisses.load());
+  EXPECT_EQ(0u, Server.serverMetrics().IndexMismatches.load());
+  EXPECT_EQ(double(Reqs.size()),
+            flushedCount(Server, Metrics, "server.index_hits"));
+  EXPECT_EQ(double(2 * Reqs.size()),
+            flushedCount(Server, Metrics, "server.index_misses"));
+  EXPECT_EQ(0.0, flushedCount(Server, Metrics, "server.index_mismatches"));
+}
+
+TEST(CompileServer, NewBytesForKnownContentHitThroughTheContentKey) {
+  ResultCache Cache;
+  ServerOptions SO;
+  SO.SocketPath = "server_test_index_content.sock"; // never started
+  SO.Workers = 1;
+  SO.Cache = &Cache;
+  CompileServer Server(SO);
+  const ServerMetrics &SM = Server.serverMetrics();
+
+  CompileResponse First = Server.handleRequest(encodeRequest(tinyRequest()));
+  ASSERT_EQ("miss", First.Tier);
+  const std::string Commented = std::string(TinyFunc) + "; trailing note\n";
+  for (const std::string &Body :
+       {renamed(TinyFunc, "tiny_again"), Commented}) {
+    CompileRequest Req = tinyRequest();
+    Req.Body = Body;
+    const uint64_t Misses = SM.IndexMisses.load();
+    const uint64_t Hits = SM.IndexHits.load();
+    // First sight of these bytes: the full path, a hit by content key.
+    CompileResponse R = Server.handleRequest(encodeRequest(Req));
+    EXPECT_EQ("hit_mem", R.Tier);
+    EXPECT_EQ(First.Body, R.Body);
+    EXPECT_EQ(Misses + 1, SM.IndexMisses.load());
+    EXPECT_EQ(Hits, SM.IndexHits.load());
+    // Second sight: the index answers.
+    R = Server.handleRequest(encodeRequest(Req));
+    EXPECT_EQ("hit_mem", R.Tier);
+    EXPECT_EQ(First.Body, R.Body);
+    EXPECT_EQ(Misses + 1, SM.IndexMisses.load());
+    EXPECT_EQ(Hits + 1, SM.IndexHits.load());
+  }
+  EXPECT_EQ(1u, Server.queue().admitted());
+  EXPECT_EQ(1u, Cache.stats().Misses);
+}
+
+TEST(CompileServer, BodiesThatFailParseOrVerifyNeverEnterTheIndex) {
+  ResultCache Cache;
+  ServerOptions SO;
+  SO.SocketPath = "server_test_index_errors.sock"; // never started
+  SO.Workers = 1;
+  SO.Cache = &Cache;
+  CompileServer Server(SO);
+
+  CompileRequest Unparsable = tinyRequest();
+  Unparsable.Body = "func broken\n  this is not IR\n";
+  CompileRequest Unverifiable = tinyRequest();
+  Unverifiable.Body = "func open regs=8 mem=8 spills=0\nbb0:\n  movi r0, 3\n";
+  for (int Round = 0; Round != 2; ++Round) {
+    CompileResponse R = Server.handleRequest(encodeRequest(Unparsable));
+    EXPECT_EQ(ResponseStatus::Error, R.Status);
+    EXPECT_NE(std::string::npos, R.Body.find("parse error")) << R.Body;
+    R = Server.handleRequest(encodeRequest(Unverifiable));
+    EXPECT_EQ(ResponseStatus::Error, R.Status);
+    EXPECT_NE(std::string::npos, R.Body.find("invalid function")) << R.Body;
+  }
+  EXPECT_EQ(0u, Server.requestIndex().size());
+  EXPECT_EQ(0u, Server.serverMetrics().IndexHits.load());
+  EXPECT_EQ(4u, Server.serverMetrics().IndexMisses.load());
+  ResultCacheStats CS = Cache.stats();
+  EXPECT_EQ(0u, CS.Hits + CS.Misses); // errors never reach the probe
+}
+
+TEST(CompileServer, EvictedIndexEntryRecompilesOnceWithOneMiss) {
+  // A one-byte memory tier keeps nothing and there is no disk tier, so
+  // every stored result is gone by the next request.
+  ResultCacheOptions CO;
+  CO.MemBudgetBytes = 1;
+  CO.Shards = 1;
+  ResultCache Cache(CO);
+  ServerOptions SO;
+  SO.SocketPath = "server_test_index_evicted.sock"; // never started
+  SO.Workers = 1;
+  SO.Cache = &Cache;
+  CompileServer Server(SO);
+
+  const std::string Payload = encodeRequest(tinyRequest());
+  CompileResponse First = Server.handleRequest(Payload);
+  ASSERT_EQ("miss", First.Tier);
+  EXPECT_EQ(1u, Server.requestIndex().size()); // a compile that stored
+
+  CompileResponse Again = Server.handleRequest(Payload);
+  EXPECT_EQ(ResponseStatus::Ok, Again.Status);
+  EXPECT_EQ("miss", Again.Tier);
+  EXPECT_EQ(First.Body, Again.Body);
+  ResultCacheStats CS = Cache.stats();
+  EXPECT_EQ(2u, CS.Misses); // one per request: the index path's probe
+  EXPECT_EQ(0u, CS.Hits);
+  EXPECT_EQ(2u, CS.Stores);
+  EXPECT_EQ(2u, Server.queue().admitted()); // recompiled exactly once
+  EXPECT_EQ(0u, Server.serverMetrics().IndexHits.load());
+  EXPECT_EQ(2u, Server.serverMetrics().IndexMisses.load());
+  EXPECT_EQ(0u, Server.serverMetrics().IndexMismatches.load());
+}
+
+TEST(CompileServer, ClosedConnectionThreadsAreJoined) {
+  MetricsRegistry Metrics;
+  ServerOptions SO;
+  SO.SocketPath = "server_test_reap.sock";
+  SO.Workers = 1;
+  SO.Metrics = &Metrics;
+  CompileServer Server(SO);
+  ASSERT_TRUE(Server.start());
+
+  for (int I = 0; I != 100; ++I) {
+    int Fd = connectUnixSocket(SO.SocketPath);
+    ASSERT_GE(Fd, 0);
+    close(Fd);
+  }
+  // Each accept joins the connections that finished before it, so a
+  // stats query soon sees only itself.
+  double Open = -1;
+  const auto Deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  do {
+    int Fd = connectUnixSocket(SO.SocketPath);
+    ASSERT_GE(Fd, 0);
+    CtlRequest Ctl;
+    Ctl.Cmd = "stats";
+    CompileResponse Resp;
+    std::string Err;
+    ASSERT_TRUE(transactCtl(Fd, Ctl, Resp, &Err)) << Err;
+    close(Fd);
+    JsonValue Stats;
+    ASSERT_TRUE(parseJson(Resp.Body, Stats, &Err)) << Err;
+    Open = Stats.field("server")->field("connections_open")->Num;
+    if (Open > 1)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  } while (Open > 1 && std::chrono::steady_clock::now() < Deadline);
+  EXPECT_LE(Open, 1.0);
+  EXPECT_GE(Server.serverMetrics().Connections.load(), 101u);
+
+  Server.stop();
+  EXPECT_EQ(0u, Server.serverMetrics().ConnectionsOpen.load());
+  bool SawGauge = false;
+  for (const auto &G : Metrics.gauges())
+    SawGauge = SawGauge || G.Name == "server.connections_open";
+  EXPECT_TRUE(SawGauge);
 }

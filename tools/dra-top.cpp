@@ -179,6 +179,14 @@ void render(const JsonValue &Stats, const JsonValue &Recent,
   std::printf("   ctl %.0f   shed %.0f   errors %.0f   bad frames %.0f\n",
               numField(*Server, "ctl_requests"), numField(*Server, "shed"),
               numField(*Server, "errors"), numField(*Server, "bad_frames"));
+  // Share of requests the request index answered without a parse.
+  const double IndexHits = numField(*Server, "index_hits");
+  const double IndexLookups = IndexHits + numField(*Server, "index_misses");
+  std::printf("  index: %.1f%% hit (%.0f of %.0f), %.0f mismatch(es)   "
+              "connections open %.0f\n",
+              IndexLookups > 0 ? 100.0 * IndexHits / IndexLookups : 0.0,
+              IndexHits, IndexLookups, numField(*Server, "index_mismatches"),
+              numField(*Server, "connections_open"));
   std::printf("  trace: %.0f traced, %.0f span(s), %.0f dropped, %.0f "
               "slow (>= %.0f us), flight %.0f/%.0f\n",
               numField(*Trace, "requests"), numField(*Trace, "spans"),
