@@ -404,8 +404,7 @@ dra::measureRemapSearch(unsigned RegN, unsigned NumStarts,
                         const std::vector<unsigned> &ParallelJobs) {
   EncodingConfig C = vliwConfig(RegN);
   // Dense seeded graph with small integer weights: every cost and delta
-  // is an exactly representable double, so all arms walk the identical
-  // descent trajectory and the permutations must match bit for bit.
+  // is an exactly representable double.
   Rng R(0x5eedbead ^ RegN);
   AdjacencyGraph G(RegN);
   for (unsigned E = 0; E != RegN * 8; ++E) {
@@ -415,38 +414,27 @@ dra::measureRemapSearch(unsigned RegN, unsigned NumStarts,
       G.addWeight(A, B, static_cast<double>(1 + R.nextBelow(9)));
   }
 
-  struct ArmSpec {
-    const char *Name;
-    bool Incremental;
-    bool FullRecost;
-    unsigned Jobs;
-  };
-  std::vector<ArmSpec> Arms = {{"full-recost", false, true, 1},
-                               {"incident", false, false, 1},
-                               {"incremental", true, false, 1}};
+  std::vector<unsigned> JobCounts = {1};
   for (unsigned J : ParallelJobs)
     if (J > 1)
-      Arms.push_back({"incremental", true, false, J});
+      JobCounts.push_back(J);
 
   std::vector<RemapSearchPerf> Out;
   std::vector<RegId> Reference;
-  for (const ArmSpec &A : Arms) {
+  for (unsigned Jobs : JobCounts) {
     RemapOptions O;
     O.NumStarts = NumStarts;
-    O.UseIncremental = A.Incremental;
-    O.FullRecost = A.FullRecost;
-    O.Jobs = A.Jobs;
+    O.Jobs = Jobs;
     auto T0 = std::chrono::steady_clock::now();
     RemapResult RR = findRemap(G, C, O);
     double Sec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
             .count();
-    if (Reference.empty())
+    if (Jobs == 1)
       Reference = RR.Perm;
     RemapSearchPerf P;
-    P.Arm = A.Name;
     P.RegN = RegN;
-    P.Jobs = A.Jobs;
+    P.Jobs = Jobs;
     P.Seconds = Sec;
     P.SwapsEvaluated = static_cast<double>(RR.SwapsEvaluated);
     P.SwapsPerSec = P.SwapsEvaluated / std::max(Sec, 1e-9);
@@ -460,8 +448,7 @@ dra::measureRemapSearch(unsigned RegN, unsigned NumStarts,
 void dra::recordRemapSearchPerf(MetricsRegistry &Reg,
                                 const std::vector<RemapSearchPerf> &Perf) {
   for (const RemapSearchPerf &P : Perf) {
-    MetricLabels L{{"arm", P.Arm},
-                   {"jobs", std::to_string(P.Jobs)},
+    MetricLabels L{{"jobs", std::to_string(P.Jobs)},
                    {"regn", std::to_string(P.RegN)}};
     Reg.gauge("remap.search_seconds", P.Seconds, L);
     Reg.gauge("remap.swaps_evaluated", P.SwapsEvaluated, L);

@@ -1,26 +1,25 @@
-//===- bench/bench_remap_search.cpp - Remap search arm comparison ---------===//
+//===- bench/bench_remap_search.cpp - Remap search throughput -------------===//
 //
-// Microbenchmark and acceptance harness for the incremental/parallel
-// multi-start remap search (core/Remap.cpp). Three modes:
+// Microbenchmark and acceptance harness for the parallel multi-start remap
+// search (core/Remap.cpp). Three modes:
 //
-//  * default: times the full-recost, incident-walk, incremental, and
-//    parallel-incremental arms over seeded dense graphs and prints a
-//    swaps/second table (all arms evaluate the identical swap sequence,
-//    so the rate compares pure evaluation throughput);
+//  * default: times the search at Jobs 1, 2 and 4 over seeded dense
+//    graphs and prints swaps/second with the parallel scaling against
+//    Jobs 1 (every run evaluates the identical swap sequence, so the rate
+//    is pure evaluation throughput);
 //
 //  * --corpus=DIR: compiles every .dra file to physical registers and
-//    checks that the incremental search — at Jobs 1, 2, 4, and 8 — returns
-//    a RemapResult bit-identical to the pre-incremental incident-walk
-//    reference arm, permutation, costs, and stats included. Exits 1 on the
-//    first divergence; runs as the `bench_remap_corpus_identity` ctest;
+//    checks that the search at Jobs 2, 4 and 8 returns a RemapResult
+//    identical to the Jobs 1 run (permutation, costs and stats) and the
+//    same printed remapped function. Exits 1 on the first divergence;
+//    runs as the `bench_remap_corpus_identity` ctest;
 //
-//  * --perf-out=DIR: writes remap_perf_full.json and
-//    remap_perf_incremental.json, each carrying the *same* unlabeled
-//    gauge keys (remap.swaps_evaluated_per_sec, ...) for its arm, so
-//      dra-stats --fail-on=remap.swaps_evaluated_per_sec:-80 \
-//          remap_perf_incremental.json remap_perf_full.json
-//    fails unless the incremental arm is more than 5x the full-recost
-//    baseline on the same machine and run.
+//  * --perf-out=DIR: writes DIR/remap_perf.json, the Jobs 1 run at
+//    RegN 64 as unlabeled gauges (remap.swaps_evaluated_per_sec, ...).
+//    CI runs dra-stats --fail-on=remap.swaps_evaluated_per_sec:200 with
+//    this file as the base and tests/data/ci_remap_perf_baseline.json as
+//    the current file, which fails when the run's throughput falls below
+//    a third of the checked-in baseline.
 //
 //===----------------------------------------------------------------------===//
 
@@ -43,11 +42,9 @@ using namespace dra;
 
 namespace {
 
-/// Field-by-field RemapResult comparison. The incremental-only delta
-/// counters are excluded when the reference is a legacy arm (which leaves
-/// them zero by design).
+/// Field-by-field RemapResult comparison.
 bool sameResult(const RemapResult &A, const RemapResult &B,
-                bool WithDeltaStats, std::string &Why) {
+                std::string &Why) {
   auto Fail = [&](const char *Field) {
     Why = std::string("field ") + Field + " differs";
     return false;
@@ -68,18 +65,15 @@ bool sameResult(const RemapResult &A, const RemapResult &B,
     return Fail("SwapsEvaluated");
   if (A.SwapsApplied != B.SwapsApplied)
     return Fail("SwapsApplied");
-  if (WithDeltaStats) {
-    if (A.DeltaArcsVisited != B.DeltaArcsVisited)
-      return Fail("DeltaArcsVisited");
-    if (A.DeltaRecostSavings != B.DeltaRecostSavings)
-      return Fail("DeltaRecostSavings");
-  }
+  if (A.DeltaArcsVisited != B.DeltaArcsVisited)
+    return Fail("DeltaArcsVisited");
+  if (A.DeltaRecostSavings != B.DeltaRecostSavings)
+    return Fail("DeltaRecostSavings");
   return true;
 }
 
 /// Acceptance mode: every corpus function, compiled to physical registers,
-/// must remap identically under the legacy reference and the incremental
-/// search at every job count.
+/// must remap identically at every job count.
 int runCorpusIdentity(const std::string &Dir) {
   namespace fs = std::filesystem;
   std::vector<std::string> Files;
@@ -93,7 +87,7 @@ int runCorpusIdentity(const std::string &Dir) {
   }
   std::sort(Files.begin(), Files.end());
 
-  const unsigned JobCounts[] = {1, 2, 4, 8};
+  const unsigned JobCounts[] = {2, 4, 8};
   size_t Checked = 0;
   for (const std::string &Path : Files) {
     std::ifstream In(Path);
@@ -108,26 +102,22 @@ int runCorpusIdentity(const std::string &Dir) {
     allocateGraphColoring(*Parsed, 12);
     EncodingConfig C = lowEndConfig(12);
 
-    RemapOptions Legacy;
-    Legacy.NumStarts = 64;
-    Legacy.UseIncremental = false;
-    Function FL = *Parsed;
-    RemapResult RL = remapFunction(FL, C, Legacy);
+    RemapOptions O;
+    O.NumStarts = 64;
+    Function FRef = *Parsed;
+    RemapResult Ref = remapFunction(FRef, C, O);
 
     for (unsigned Jobs : JobCounts) {
-      RemapOptions O;
-      O.NumStarts = 64;
       O.Jobs = Jobs;
-      Function FI = *Parsed;
-      RemapResult RI = remapFunction(FI, C, O);
+      Function FJ = *Parsed;
+      RemapResult RJ = remapFunction(FJ, C, O);
       std::string Why;
-      if (!sameResult(RL, RI, /*WithDeltaStats=*/false, Why)) {
-        std::fprintf(stderr,
-                     "MISMATCH: %s: incremental jobs=%u vs legacy: %s\n",
+      if (!sameResult(Ref, RJ, Why)) {
+        std::fprintf(stderr, "MISMATCH: %s: jobs=%u vs jobs=1: %s\n",
                      Path.c_str(), Jobs, Why.c_str());
         return 1;
       }
-      if (printFunction(FL) != printFunction(FI)) {
+      if (printFunction(FRef) != printFunction(FJ)) {
         std::fprintf(stderr,
                      "MISMATCH: %s: remapped function differs at jobs=%u\n",
                      Path.c_str(), Jobs);
@@ -136,58 +126,31 @@ int runCorpusIdentity(const std::string &Dir) {
       ++Checked;
     }
   }
-  std::printf("corpus identity: %zu file(s) x %zu job count(s), %zu "
-              "comparisons, all bit-identical\n",
+  std::printf("corpus identity: %zu file(s) x %zu job count(s) against "
+              "jobs 1, %zu comparisons, all bit-identical\n",
               Files.size(), std::size(JobCounts), Checked);
   return 0;
 }
 
-/// Writes one arm's measurements as unlabeled gauges (identical keys in
-/// both files so dra-stats pairs them).
-bool writePerfFile(const std::string &Path, const RemapSearchPerf &P) {
+/// Writes the Jobs 1 measurement at RegN 64 as unlabeled gauges.
+int runPerfOut(const std::string &Dir) {
+  namespace fs = std::filesystem;
+  std::error_code EC;
+  fs::create_directories(Dir, EC);
+  const RemapSearchPerf P = measureRemapSearch(64, 24, {}).front();
   MetricsRegistry Reg;
   Reg.gauge("remap.search_seconds", P.Seconds);
   Reg.gauge("remap.swaps_evaluated", P.SwapsEvaluated);
   Reg.gauge("remap.swaps_evaluated_per_sec", P.SwapsPerSec);
   Reg.gauge("remap.cost_after", P.CostAfter);
   Reg.gauge("remap.regn", static_cast<double>(P.RegN));
+  const std::string Path = (fs::path(Dir) / "remap_perf.json").string();
   std::string Err;
   if (!Reg.writeJsonFile(Path, &Err)) {
     std::fprintf(stderr, "error: %s\n", Err.c_str());
-    return false;
-  }
-  std::printf("wrote %s (%s arm, %.3g swaps/s)\n", Path.c_str(),
-              P.Arm.c_str(), P.SwapsPerSec);
-  return true;
-}
-
-int runPerfOut(const std::string &Dir) {
-  namespace fs = std::filesystem;
-  std::error_code EC;
-  fs::create_directories(Dir, EC);
-  std::vector<RemapSearchPerf> Perf = measureRemapSearch(64, 24, {});
-  const RemapSearchPerf *Full = nullptr, *Incremental = nullptr;
-  for (const RemapSearchPerf &P : Perf) {
-    if (P.Arm == "full-recost")
-      Full = &P;
-    if (P.Arm == "incremental" && P.Jobs == 1)
-      Incremental = &P;
-    if (!P.MatchesReference) {
-      std::fprintf(stderr, "error: arm %s diverged from reference\n",
-                   P.Arm.c_str());
-      return 1;
-    }
-  }
-  if (!Full || !Incremental)
     return 1;
-  if (!writePerfFile((fs::path(Dir) / "remap_perf_full.json").string(),
-                     *Full) ||
-      !writePerfFile(
-          (fs::path(Dir) / "remap_perf_incremental.json").string(),
-          *Incremental))
-    return 1;
-  std::printf("incremental/full speedup: %.1fx\n",
-              Incremental->SwapsPerSec / Full->SwapsPerSec);
+  }
+  std::printf("wrote %s (%.3g swaps/s)\n", Path.c_str(), P.SwapsPerSec);
   return 0;
 }
 
@@ -213,19 +176,17 @@ int main(int Argc, char **Argv) {
   if (!PerfOut.empty())
     return runPerfOut(PerfOut);
 
-  std::printf("Remap search arms (multi-start greedy descent; identical "
-              "swap sequences, so swaps/s is evaluation throughput)\n");
+  std::printf("Remap search throughput (multi-start greedy descent; "
+              "identical swap sequences, so swaps/s is evaluation "
+              "throughput)\n");
   for (unsigned RegN : {32u, 64u}) {
     std::vector<RemapSearchPerf> Perf = measureRemapSearch(RegN, 24, {2, 4});
-    double Baseline = 0;
+    const double Sequential = Perf.front().SwapsPerSec;
     for (const RemapSearchPerf &P : Perf) {
-      if (P.Arm == std::string("full-recost"))
-        Baseline = P.SwapsPerSec;
-      std::printf("  RegN %2u  %-12s jobs %u  %9.0f swaps in %7.3fs  "
-                  "%12.0f swaps/s  (%5.1fx)  cost %g%s\n",
-                  P.RegN, P.Arm.c_str(), P.Jobs, P.SwapsEvaluated,
-                  P.Seconds, P.SwapsPerSec,
-                  Baseline > 0 ? P.SwapsPerSec / Baseline : 1.0, P.CostAfter,
+      std::printf("  RegN %2u  jobs %u  %9.0f swaps in %7.3fs  "
+                  "%12.0f swaps/s  (%4.2fx jobs 1)  cost %g%s\n",
+                  P.RegN, P.Jobs, P.SwapsEvaluated, P.Seconds,
+                  P.SwapsPerSec, P.SwapsPerSec / Sequential, P.CostAfter,
                   P.MatchesReference ? "" : "  DIVERGED!");
       if (!P.MatchesReference)
         return 1;

@@ -15,12 +15,6 @@ using namespace dra;
 
 namespace {
 
-/// Cost of assignment Perm on G (Perm[node] = register number).
-double permCost(const AdjacencyGraph &G, const EncodingConfig &C,
-                const std::vector<RegId> &Perm) {
-  return G.cost(Perm, C);
-}
-
 bool isPinned(const RemapOptions &O, RegId R) {
   for (RegId P : O.PinnedRegs)
     if (P == R)
@@ -61,7 +55,7 @@ RemapResult exhaustiveSearch(const AdjacencyGraph &G,
     for (size_t I = 0; I != Movable.size(); ++I)
       Perm[Movable[I]] = Targets[I];
     ++Best.SwapsEvaluated;
-    double Cost = permCost(G, C, Perm);
+    double Cost = G.cost(Perm, C);
     if (Cost < Best.CostAfter) {
       ++Best.SwapsApplied;
       Best.CostAfter = Cost;
@@ -71,36 +65,6 @@ RemapResult exhaustiveSearch(const AdjacencyGraph &G,
   return Best;
 }
 
-/// Sum of violated-edge weights among the edges incident to node \p U or
-/// node \p V under \p Perm; each edge counted once. The pre-incremental
-/// candidate evaluator: one hash lookup per arc, called twice (before and
-/// after the trial swap) per candidate.
-double incidentCost(const AdjacencyGraph &G, const EncodingConfig &C,
-                    const std::vector<RegId> &Perm, RegId U, RegId V) {
-  double Total = 0;
-  auto Violated = [&](RegId From, RegId To) {
-    RegId FromNo = Perm[From], ToNo = Perm[To];
-    return FromNo != ToNo && !C.encodable(FromNo, ToNo);
-  };
-  G.forEachOut(U, [&](RegId To, double W) {
-    if (Violated(U, To))
-      Total += W;
-  });
-  G.forEachIn(U, [&](RegId From, double W) {
-    if (Violated(From, U))
-      Total += W;
-  });
-  G.forEachOut(V, [&](RegId To, double W) {
-    if (To != U && Violated(V, To))
-      Total += W;
-  });
-  G.forEachIn(V, [&](RegId From, double W) {
-    if (From != U && Violated(From, V))
-      Total += W;
-  });
-  return Total;
-}
-
 /// Per-descent effort, merged into RemapResult by the search driver.
 struct DescentStats {
   size_t Eval = 0;
@@ -108,83 +72,17 @@ struct DescentStats {
   size_t Arcs = 0;
 };
 
-/// One greedy descent from \p Perm evaluating candidates with the legacy
-/// incident-edge walk (UseIncremental = false, FullRecost = false).
-double greedyDescentIncident(const AdjacencyGraph &G,
-                             const EncodingConfig &C,
-                             const std::vector<RegId> &Movable,
-                             std::vector<RegId> &Perm, DescentStats &S) {
-  double Cost = permCost(G, C, Perm);
-  for (;;) {
-    double BestDelta = 0;
-    size_t BestI = 0, BestJ = 0;
-    for (size_t I = 0; I + 1 < Movable.size(); ++I) {
-      for (size_t J = I + 1; J < Movable.size(); ++J) {
-        RegId U = Movable[I], V = Movable[J];
-        ++S.Eval;
-        double Before = incidentCost(G, C, Perm, U, V);
-        std::swap(Perm[U], Perm[V]);
-        double After = incidentCost(G, C, Perm, U, V);
-        std::swap(Perm[U], Perm[V]);
-        double Delta = After - Before;
-        if (Delta < BestDelta) {
-          BestDelta = Delta;
-          BestI = I;
-          BestJ = J;
-        }
-      }
-    }
-    if (BestDelta >= 0)
-      return Cost; // Local minimum.
-    std::swap(Perm[Movable[BestI]], Perm[Movable[BestJ]]);
-    ++S.Applied;
-    Cost += BestDelta;
-  }
-}
-
-/// One greedy descent recosting the whole permutation per candidate: the
-/// O(|E|)-per-candidate measurement baseline (RemapOptions::FullRecost).
-double greedyDescentFullRecost(const AdjacencyGraph &G,
-                               const EncodingConfig &C,
-                               const std::vector<RegId> &Movable,
-                               std::vector<RegId> &Perm, DescentStats &S) {
-  double Cost = permCost(G, C, Perm);
-  for (;;) {
-    double BestDelta = 0;
-    size_t BestI = 0, BestJ = 0;
-    for (size_t I = 0; I + 1 < Movable.size(); ++I) {
-      for (size_t J = I + 1; J < Movable.size(); ++J) {
-        RegId U = Movable[I], V = Movable[J];
-        ++S.Eval;
-        std::swap(Perm[U], Perm[V]);
-        double Delta = permCost(G, C, Perm) - Cost;
-        std::swap(Perm[U], Perm[V]);
-        if (Delta < BestDelta) {
-          BestDelta = Delta;
-          BestI = I;
-          BestJ = J;
-        }
-      }
-    }
-    if (BestDelta >= 0)
-      return Cost;
-    std::swap(Perm[Movable[BestI]], Perm[Movable[BestJ]]);
-    ++S.Applied;
-    Cost += BestDelta;
-  }
-}
-
-/// One greedy descent evaluating candidates against the precomputed cost
-/// model: O(degree(U) + degree(V)) per candidate, no hash lookups. The
-/// permutation's cost is maintained incrementally across applied swaps
-/// exactly as the incident arm maintains it (same deltas, same addition
-/// order), so the trajectory is bit-identical; debug builds cross-check
-/// the running cost against a full recost after every applied swap.
-double greedyDescentModel(const AdjacencyGraph &G, const EncodingConfig &C,
-                          const RemapCostModel &M,
-                          const std::vector<RegId> &Movable,
-                          std::vector<RegId> &Perm, DescentStats &S) {
-  double Cost = permCost(G, C, Perm);
+/// One greedy descent from \p Perm: evaluate every pairwise swap of the
+/// movable registers against the precomputed cost model
+/// (O(degree(U) + degree(V)) per candidate), apply the first best strict
+/// improvement, repeat until none is left. The permutation's cost is
+/// maintained incrementally across applied swaps; debug builds
+/// cross-check it against a full recost after every applied swap.
+double greedyDescent(const AdjacencyGraph &G, const EncodingConfig &C,
+                     const RemapCostModel &M,
+                     const std::vector<RegId> &Movable,
+                     std::vector<RegId> &Perm, DescentStats &S) {
+  double Cost = G.cost(Perm, C);
   for (;;) {
     double BestDelta = 0;
     size_t BestI = 0, BestJ = 0;
@@ -207,58 +105,12 @@ double greedyDescentModel(const AdjacencyGraph &G, const EncodingConfig &C,
     ++S.Applied;
     Cost += BestDelta;
 #ifndef NDEBUG
-    double Full = permCost(G, C, Perm);
+    double Full = G.cost(Perm, C);
     assert(std::fabs(Full - Cost) <=
                1e-6 * std::max(1.0, std::fabs(Full)) &&
            "incremental remap cost drifted from full recost");
 #endif
   }
-}
-
-/// The pre-incremental sequential multi-start search, kept as the
-/// bit-identity reference (UseIncremental = false) and, with FullRecost,
-/// as the benchmark's naive baseline arm.
-RemapResult greedySearchSequential(const AdjacencyGraph &G,
-                                   const EncodingConfig &C,
-                                   const RemapOptions &O) {
-  unsigned N = C.RegN;
-  std::vector<RegId> Movable = movableRegs(C, O);
-
-  std::vector<RegId> Identity(N);
-  for (RegId R = 0; R != N; ++R)
-    Identity[R] = R;
-
-  RemapResult Best;
-  Best.CostBefore = G.identityCost(C);
-  Best.CostAfter = std::numeric_limits<double>::infinity();
-
-  Rng Random(O.Seed);
-  unsigned Starts = std::max(1u, O.NumStarts);
-  for (unsigned Start = 0; Start != Starts; ++Start) {
-    std::vector<RegId> Perm = Identity;
-    if (Start != 0) {
-      // Random initial register vector over the movable slots.
-      std::vector<RegId> Targets = Movable;
-      Random.shuffle(Targets);
-      for (size_t I = 0; I != Movable.size(); ++I)
-        Perm[Movable[I]] = Targets[I];
-    }
-    ++Best.StartsRun;
-    DescentStats S;
-    double Cost = O.FullRecost
-                      ? greedyDescentFullRecost(G, C, Movable, Perm, S)
-                      : greedyDescentIncident(G, C, Movable, Perm, S);
-    Best.SwapsEvaluated += S.Eval;
-    Best.SwapsApplied += S.Applied;
-    if (Cost < Best.CostAfter) {
-      Best.CostAfter = Cost;
-      Best.Perm = std::move(Perm);
-    }
-    if (Best.CostAfter == 0)
-      break; // Cannot improve further.
-  }
-  Best.StartsCutOff = Starts - Best.StartsRun;
-  return Best;
 }
 
 /// Maps a non-NaN double to an unsigned key with the same total order, so
@@ -269,15 +121,14 @@ uint64_t orderedCostBits(double D) {
   return (B & (1ull << 63)) ? ~B : B | (1ull << 63);
 }
 
-/// The incremental multi-start search, optionally sharded over a thread
-/// pool. Bit-identical to greedySearchSequential(UseIncremental=false) at
-/// any Jobs value:
+/// The multi-start greedy search, optionally sharded over a thread pool.
+/// The result is the one a sequential loop over the starts would return
+/// (Jobs = 1 runs exactly that loop), bit-identical at any Jobs value:
 ///
 ///  * every restart vector is drawn up front on the calling thread from
 ///    the one sequential Rng stream, so start k sees the same initial
 ///    permutation regardless of scheduling;
-///  * descents are per-start deterministic and their deltas replicate the
-///    incident-arm arithmetic exactly (see RemapCostModel);
+///  * descents are per-start deterministic;
 ///  * the only deterministic early cutoff is a provable global minimum —
 ///    a start finishing at cost zero — tracked as the minimum zero-cost
 ///    start index: StartsRun = FirstZero + 1 matches the sequential break,
@@ -289,9 +140,8 @@ uint64_t orderedCostBits(double D) {
 ///    (cost, start-index) and drops its vector immediately;
 ///  * the winner is the lowest-cost start, earliest index on ties —
 ///    exactly the sequential update rule `Cost < Best.CostAfter`.
-RemapResult greedySearchIncremental(const AdjacencyGraph &G,
-                                    const EncodingConfig &C,
-                                    const RemapOptions &O) {
+RemapResult greedySearch(const AdjacencyGraph &G, const EncodingConfig &C,
+                         const RemapOptions &O) {
   unsigned N = C.RegN;
   std::vector<RegId> Movable = movableRegs(C, O);
 
@@ -348,7 +198,7 @@ RemapResult greedySearchIncremental(const AdjacencyGraph &G,
       for (size_t I = 0; I != M; ++I)
         Perm[Movable[I]] = T[I];
     }
-    Out.Cost = greedyDescentModel(G, C, Model, Movable, Perm, Out.Stats);
+    Out.Cost = greedyDescent(G, C, Model, Movable, Perm, Out.Stats);
 
     // Shared best-cost bound: CAS-min, then keep the permutation only
     // while this start is still a candidate winner under the bound.
@@ -440,10 +290,10 @@ double RemapCostModel::swapDelta(const std::vector<RegId> &Perm, RegId U,
   RegId PU = Perm[U], PV = Perm[V];
   // Row U: arcs anchored at U, whose number changes PU -> PV. The far
   // endpoint keeps its number unless it is V (the shared edge). Self
-  // edges are never stored, so Other != U here and Other != V below;
-  // the accumulation order — row U out, row U in, row V out, row V in —
-  // mirrors incidentCost's two passes addition for addition, which keeps
-  // Before, After, and the returned delta bit-identical to that arm.
+  // edges are never stored, so Other != U here and Other != V below.
+  // The accumulation order — row U out, row U in, row V out, row V in —
+  // is part of the output: cross-block weights are inexact, so another
+  // order can flip a near-tie, and the remap goldens pin this one.
   for (const Arc &A : Rows[U]) {
     RegId O = Perm[A.Other];
     RegId OS = A.Other == V ? PU : O;
@@ -488,10 +338,8 @@ RemapResult dra::findRemap(const AdjacencyGraph &G, const EncodingConfig &C,
   RemapResult Result;
   if (MovableCount <= O.ExhaustiveLimit)
     Result = exhaustiveSearch(G, C, O);
-  else if (O.UseIncremental)
-    Result = greedySearchIncremental(G, C, O);
   else
-    Result = greedySearchSequential(G, C, O);
+    Result = greedySearch(G, C, O);
   // Never accept a permutation worse than the identity.
   if (Result.CostAfter > Result.CostBefore) {
     Result.CostAfter = Result.CostBefore;

@@ -25,7 +25,11 @@
 /// (`RemapOptions::Jobs`). Restart vectors are drawn up front from the
 /// single sequential seed stream and the winner is reduced in
 /// (cost, start-index) order, so the result is bit-identical to the
-/// sequential search at any worker count.
+/// sequential search at any worker count. The descent trajectory itself
+/// (the order in which `swapDelta` sums its arc terms, and the first-best
+/// tie-break) is pinned by the trajectory golden in
+/// `tests/remap_search_test.cpp`; `tests/data/golden_alloc_identity.txt`
+/// pins the remapped output of real functions.
 ///
 /// Special registers are pinned to themselves so reserved direct codes and
 /// calling conventions stay intact (Sections 9.2/9.3).
@@ -62,17 +66,8 @@ struct RemapOptions {
   /// calling thread. The result is bit-identical at any value (restart
   /// vectors come from the one sequential seed stream and the winner is
   /// reduced by (cost, start-index)), so this is purely a wall-clock
-  /// knob. Ignored by the exhaustive and legacy arms.
+  /// knob. Ignored by the exhaustive search.
   unsigned Jobs = 1;
-  /// Evaluate candidate swaps against the precomputed RemapCostModel arc
-  /// rows (the default). Off selects the pre-incremental arm that walks
-  /// the adjacency graph's hash map per candidate — kept as the
-  /// bit-identity reference and as a benchmark baseline.
-  bool UseIncremental = true;
-  /// Measurement-only, honored when UseIncremental is false: recost the
-  /// whole permutation for every candidate swap — the O(|E|)-per-candidate
-  /// baseline `bench_remap_search` compares the incremental arm against.
-  bool FullRecost = false;
 };
 
 /// Remapping outcome.
@@ -85,9 +80,9 @@ struct RemapResult {
   std::vector<RegId> Perm;
   /// True if the exhaustive search ran (result provably optimal).
   bool Exhaustive = false;
-  /// Search effort. Greedy arms: restarts actually run (early exit once a
+  /// Search effort. Greedy search: restarts actually run (early exit once a
   /// zero-cost permutation is found), pairwise swaps evaluated across all
-  /// descents, and swaps applied (descent steps taken). Exhaustive arm:
+  /// descents, and swaps applied (descent steps taken). Exhaustive search:
   /// StartsRun is 1 (one enumeration), SwapsEvaluated counts permutations
   /// evaluated, SwapsApplied counts improvements over the running best.
   unsigned StartsRun = 0;
@@ -96,9 +91,9 @@ struct RemapResult {
   /// Restarts never run because a lower-indexed start already reached the
   /// provable minimum (cost zero): NumStarts - StartsRun.
   unsigned StartsCutOff = 0;
-  /// Incremental arm only: adjacency arcs actually summed while
-  /// evaluating swap candidates, and the arc-visit count a full recost of
-  /// every candidate would have needed instead (the delta-recost saving).
+  /// Greedy search only: adjacency arcs actually summed while evaluating
+  /// swap candidates, and the arc-visit count a full recost of every
+  /// candidate would have needed instead (the delta-recost saving).
   size_t DeltaArcsVisited = 0;
   size_t DeltaRecostSavings = 0;
 };
@@ -108,10 +103,11 @@ struct RemapResult {
 /// incoming, in the graph's neighbor order) with their weights resolved,
 /// plus a table of which modular differences violate condition (3).
 ///
-/// `swapDelta` reproduces the incident-edge walk of the pre-incremental
-/// search arm addition for addition, so its deltas — and therefore every
-/// descent trajectory — are bit-identical to that arm's. Instances are
-/// immutable after construction and safe to share across search threads.
+/// Cross-block weights (`Freq / preds`) are not exact doubles, so the
+/// order in which `swapDelta` sums its terms decides near-ties and with
+/// them every descent trajectory; the remap goldens pin that order.
+/// Instances are immutable after construction and safe to share across
+/// search threads.
 class RemapCostModel {
 public:
   RemapCostModel(const AdjacencyGraph &G, const EncodingConfig &C);

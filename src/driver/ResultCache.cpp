@@ -255,8 +255,6 @@ uint64_t ResultCache::cacheKey(const Function &Src, const PipelineConfig &C) {
   H.u64(C.Remap.PinnedRegs.size());
   for (RegId R : C.Remap.PinnedRegs)
     H.u32(R);
-  H.u8(C.Remap.UseIncremental);
-  H.u8(C.Remap.FullRecost);
 
   // Portfolio block. Jobs is excluded for the same reason as Remap.Jobs:
   // the race is bit-identical at any worker count. The arm list hashes in

@@ -311,16 +311,23 @@ bool dra::decodeRequest(const std::string &Payload, CompileRequest &Out,
     uint32_t V = 0;
     if (!parseU32(Value, V))
       return setError(E, "bad value for '" + Key + "'");
+    auto Bounded = [&](unsigned &Field, unsigned Max) {
+      if (V > Max)
+        return setError(E, "'" + Key + "' is " + Value + ", above its " +
+                               "bound of " + std::to_string(Max));
+      Field = V;
+      return true;
+    };
     if (Key == "baselinek")
-      Req.BaselineK = V;
-    else if (Key == "regn")
-      Req.RegN = V;
-    else if (Key == "diffn")
+      return Bounded(Req.BaselineK, MaxWireBaselineK);
+    if (Key == "regn")
+      return Bounded(Req.RegN, MaxWireRegN);
+    if (Key == "remapstarts")
+      return Bounded(Req.RemapStarts, MaxWireRemapStarts);
+    if (Key == "diffn")
       Req.DiffN = V;
     else if (Key == "diffw")
       Req.DiffW = V;
-    else if (Key == "remapstarts")
-      Req.RemapStarts = V;
     else
       return setError(E, "unknown request key '" + Key + "'");
     return true;

@@ -120,6 +120,17 @@ bool writeFrame(int Fd, const std::string &Payload);
 // Request / response payloads
 //===----------------------------------------------------------------------===//
 
+/// Upper bounds decodeRequest enforces on the three knobs whose compile
+/// time or memory grows with their value. A request above one is a
+/// `bad request` error naming the key, answered before the request is
+/// digested, parsed or admitted. `regn` and `baselinek` allow 4x the
+/// paper's largest register file (64); `remapstarts` allows 10x the
+/// paper's 1000 restarts. Measured worst single requests at the bounds
+/// are in DESIGN.md (Compilation service, wire protocol).
+constexpr unsigned MaxWireRegN = 256;
+constexpr unsigned MaxWireBaselineK = 256;
+constexpr unsigned MaxWireRemapStarts = 10000;
+
 /// One compile request: the knobs dra-batch exposes per run, plus the
 /// function body in the textual IR syntax.
 struct CompileRequest {
@@ -187,7 +198,8 @@ const char *wireSchemeName(Scheme S);
 std::string encodeRequest(const CompileRequest &Req);
 
 /// Strict inverse of encodeRequest: unknown keys, a bad version tag, a
-/// missing/oversized body count, or trailing bytes all fail with a
+/// missing/oversized body count, trailing bytes, or a `regn`,
+/// `baselinek` or `remapstarts` above its MaxWire* bound all fail with a
 /// diagnostic. Never throws, never crashes on garbage.
 bool decodeRequest(const std::string &Payload, CompileRequest &Out,
                    std::string *Err = nullptr);

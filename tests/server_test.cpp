@@ -179,6 +179,32 @@ TEST(Protocol, DecodeRequestRejectsMalformedDocuments) {
   EXPECT_NE(std::string::npos, Err.find("bogus"));
 }
 
+TEST(Protocol, DecodeRequestBoundsCostlyKnobs) {
+  struct Knob {
+    const char *Key;
+    unsigned Max;
+    unsigned CompileRequest::*Field;
+  } Knobs[] = {{"regn", MaxWireRegN, &CompileRequest::RegN},
+               {"baselinek", MaxWireBaselineK, &CompileRequest::BaselineK},
+               {"remapstarts", MaxWireRemapStarts,
+                &CompileRequest::RemapStarts}};
+  for (const Knob &K : Knobs) {
+    SCOPED_TRACE(K.Key);
+    auto Doc = [&](unsigned V) {
+      return std::string("dra-req-v1\n") + K.Key + "=" + std::to_string(V) +
+             "\nbody=0\n";
+    };
+    CompileRequest Out;
+    std::string Err;
+    ASSERT_TRUE(decodeRequest(Doc(K.Max), Out, &Err)) << Err;
+    EXPECT_EQ(K.Max, Out.*K.Field);
+    EXPECT_FALSE(decodeRequest(Doc(K.Max + 1), Out, &Err));
+    EXPECT_NE(std::string::npos, Err.find(K.Key)) << Err;
+    EXPECT_FALSE(decodeRequest(Doc(4294967295u), Out, &Err));
+    EXPECT_NE(std::string::npos, Err.find(K.Key)) << Err;
+  }
+}
+
 TEST(Protocol, DecodeResponseRejectsMalformedDocuments) {
   CompileResponse Out;
   EXPECT_FALSE(decodeResponse("dra-resp-v9\nstatus=ok\nbody=0\n", Out));
@@ -648,6 +674,42 @@ TEST(CompileServer, HandleRequestDirectlyWithoutASocket) {
   EXPECT_EQ("miss", Resp.Tier); // no cache wired: always a fresh compile
   PipelineResult Out;
   EXPECT_TRUE(ResultCache::deserializeResult(Resp.Body, Out));
+}
+
+TEST(CompileServer, OverBoundKnobIsABadRequestBeforeAnyWork) {
+  ResultCache Cache;
+  ServerOptions SO;
+  SO.SocketPath = "server_test_over_bound.sock"; // never started
+  SO.Workers = 1;
+  SO.Cache = &Cache;
+  CompileServer Server(SO);
+
+  CompileRequest Starts = tinyRequest();
+  Starts.S = Scheme::Remap;
+  Starts.RemapStarts = MaxWireRemapStarts + 1;
+  CompileRequest RegN = tinyRequest();
+  RegN.RegN = MaxWireRegN + 1;
+  CompileRequest K = tinyRequest();
+  K.S = Scheme::Baseline;
+  K.BaselineK = MaxWireBaselineK + 1;
+  const std::pair<const char *, CompileRequest> Cases[] = {
+      {"remapstarts", Starts}, {"regn", RegN}, {"baselinek", K}};
+  for (const auto &[Key, Req] : Cases) {
+    SCOPED_TRACE(Key);
+    const uint64_t ErrorsBefore = Server.serverMetrics().Errors.load();
+    CompileResponse R = Server.handleRequest(encodeRequest(Req));
+    EXPECT_EQ(ResponseStatus::Error, R.Status);
+    EXPECT_EQ("none", R.Tier);
+    EXPECT_EQ(0u, R.Body.find("bad request: ")) << R.Body;
+    EXPECT_NE(std::string::npos, R.Body.find(Key)) << R.Body;
+    EXPECT_EQ(ErrorsBefore + 1, Server.serverMetrics().Errors.load());
+  }
+  // Rejected before the digest, the parse and admission.
+  EXPECT_EQ(0u, Server.queue().admitted());
+  EXPECT_EQ(0u, Server.requestIndex().size());
+  EXPECT_EQ(0u, Server.serverMetrics().IndexMisses.load());
+  ResultCacheStats CS = Cache.stats();
+  EXPECT_EQ(0u, CS.Hits + CS.Misses);
 }
 
 //===----------------------------------------------------------------------===//
