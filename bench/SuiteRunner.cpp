@@ -15,116 +15,17 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 using namespace dra;
 
 namespace {
 
-/// Results are cached on disk so that the four figure benches (which share
-/// the same underlying experiment) compute it once. The cache key includes
-/// a version tag — bump it when the pipelines change behaviourally — and
-/// the remapping restart count. Delete the file to force recomputation.
-constexpr const char *CacheVersion = "dra-suite-v1";
-
-std::string lowEndCachePath(unsigned RemapStarts) {
-  return ".dra_lowend_cache_" + std::to_string(RemapStarts) + ".tsv";
-}
-
-bool loadLowEndCache(unsigned RemapStarts,
-                     std::vector<ProgramMetrics> &Out) {
-  std::ifstream In(lowEndCachePath(RemapStarts));
-  if (!In)
-    return false;
-  std::string Header;
-  if (!std::getline(In, Header) || Header != CacheVersion)
-    return false;
-  Out.clear();
-  std::string Line;
-  while (std::getline(In, Line)) {
-    std::istringstream Row(Line);
-    std::string Name;
-    int SchemeId;
-    SchemeMetrics M;
-    int Ok;
-    unsigned long long Cycles;
-    if (!(Row >> Name >> SchemeId >> M.SpillPct >> M.SlrPct >> M.SlrJoin >>
-          M.SlrRange >> M.CodeBytes >> Cycles >> Ok))
-      return false;
-    M.Cycles = Cycles;
-    M.SemanticsOk = Ok != 0;
-    if (Out.empty() || Out.back().Name != Name) {
-      Out.push_back({});
-      Out.back().Name = Name;
-    }
-    Out.back().PerScheme[static_cast<Scheme>(SchemeId)] = M;
-  }
-  return Out.size() == miBenchNames().size();
-}
-
-void storeLowEndCache(unsigned RemapStarts,
-                      const std::vector<ProgramMetrics> &Suite) {
-  std::ofstream OutFile(lowEndCachePath(RemapStarts));
-  if (!OutFile)
-    return;
-  OutFile << CacheVersion << "\n";
-  for (const ProgramMetrics &PM : Suite)
-    for (const auto &[S, M] : PM.PerScheme)
-      OutFile << PM.Name << ' ' << static_cast<int>(S) << ' ' << M.SpillPct
-              << ' ' << M.SlrPct << ' ' << M.SlrJoin << ' ' << M.SlrRange
-              << ' ' << M.CodeBytes << ' ' << M.Cycles << ' '
-              << (M.SemanticsOk ? 1 : 0) << "\n";
-}
-
-std::string vliwCachePath(unsigned LoopCount) {
-  return ".dra_vliw_cache_" + std::to_string(LoopCount) + ".tsv";
-}
-
-bool loadVliwCache(unsigned LoopCount, std::vector<VliwRow> &Out) {
-  std::ifstream In(vliwCachePath(LoopCount));
-  if (!In)
-    return false;
-  std::string Header;
-  if (!std::getline(In, Header) || Header != CacheVersion)
-    return false;
-  Out.clear();
-  std::string Line;
-  while (std::getline(In, Line)) {
-    std::istringstream Row(Line);
-    VliwRow R;
-    if (!(Row >> R.RegN >> R.SpeedupOptimizedPct >> R.SpeedupAllLoopsPct >>
-          R.SpeedupOverallPct >> R.SpillOpsOptimized >>
-          R.CodeGrowthOptimizedPct >> R.CodeGrowthAllLoopsPct >>
-          R.CodeGrowthAllCodePct >> R.OptimizedLoopCount >> R.LoopCount))
-      return false;
-    Out.push_back(R);
-  }
-  return Out.size() == 5;
-}
-
-void storeVliwCache(unsigned LoopCount, const std::vector<VliwRow> &Rows) {
-  std::ofstream OutFile(vliwCachePath(LoopCount));
-  if (!OutFile)
-    return;
-  OutFile << CacheVersion << "\n";
-  for (const VliwRow &R : Rows)
-    OutFile << R.RegN << ' ' << R.SpeedupOptimizedPct << ' '
-            << R.SpeedupAllLoopsPct << ' ' << R.SpeedupOverallPct << ' '
-            << R.SpillOpsOptimized << ' ' << R.CodeGrowthOptimizedPct << ' '
-            << R.CodeGrowthAllLoopsPct << ' ' << R.CodeGrowthAllCodePct
-            << ' ' << R.OptimizedLoopCount << ' ' << R.LoopCount << "\n";
-}
-
 /// Folds the low-end suite's result table into \p Reg as suite.* gauges
-/// labeled {program, scheme} — derivable from cached results, so available
-/// on every run — and writes the snapshot to BENCH_lowend.json. \p Cached
-/// records provenance: consumers (dra-stats diffs, CI gates) need to know
-/// whether the deep pipeline.* counters can be expected in the snapshot.
+/// labeled {program, scheme}, next to the pipeline.* counters and stage
+/// histograms the run recorded, and writes the snapshot to
+/// BENCH_lowend.json.
 void writeLowEndBenchJson(MetricsRegistry &Reg,
-                          const std::vector<ProgramMetrics> &Suite,
-                          bool Cached) {
-  Reg.gauge("cache.provenance", Cached ? 1.0 : 0.0);
+                          const std::vector<ProgramMetrics> &Suite) {
   for (const ProgramMetrics &PM : Suite) {
     for (const auto &[S, M] : PM.PerScheme) {
       MetricLabels L{{"program", PM.Name}, {"scheme", schemeName(S)}};
@@ -145,10 +46,9 @@ void writeLowEndBenchJson(MetricsRegistry &Reg,
 }
 
 /// Same for the VLIW sweep: one vliw.* gauge set per RegN row, written to
-/// BENCH_vliw.json alongside whatever swp.* series a fresh run recorded.
+/// BENCH_vliw.json alongside the run's swp.* series.
 void writeVliwBenchJson(MetricsRegistry &Reg,
-                        const std::vector<VliwRow> &Rows, bool Cached) {
-  Reg.gauge("cache.provenance", Cached ? 1.0 : 0.0);
+                        const std::vector<VliwRow> &Rows) {
   for (const VliwRow &R : Rows) {
     MetricLabels L{{"regn", std::to_string(R.RegN)}};
     Reg.gauge("vliw.speedup_optimized_pct", R.SpeedupOptimizedPct, L);
@@ -183,12 +83,6 @@ std::vector<ProgramMetrics> dra::runLowEndSuite(unsigned RemapStarts,
                                                 unsigned Jobs) {
   std::vector<ProgramMetrics> Results;
   MetricsRegistry Reg;
-  if (loadLowEndCache(RemapStarts, Results)) {
-    std::fprintf(stderr, "  [suite] using cached results (%s)\n",
-                 lowEndCachePath(RemapStarts).c_str());
-    writeLowEndBenchJson(Reg, Results, /*Cached=*/true);
-    return Results;
-  }
   auto WallStart = std::chrono::steady_clock::now();
 
   BatchOptions BO;
@@ -255,8 +149,7 @@ std::vector<ProgramMetrics> dra::runLowEndSuite(unsigned RemapStarts,
                "worker(s)\n",
                Names.size(), Schemes.size(), WallMs,
                Batch.pool().workerCount());
-  storeLowEndCache(RemapStarts, Results);
-  writeLowEndBenchJson(Reg, Results, /*Cached=*/false);
+  writeLowEndBenchJson(Reg, Results);
   return Results;
 }
 
@@ -265,18 +158,6 @@ std::vector<VliwRow> dra::runVliwSuite(unsigned LoopCount, unsigned Jobs) {
   if (LoopCount != 0)
     Opts.Count = LoopCount;
   MetricsRegistry Reg;
-  {
-    std::vector<VliwRow> Cached;
-    if (loadVliwCache(Opts.Count, Cached)) {
-      std::fprintf(stderr, "  [vliw] using cached results (%s)\n",
-                   vliwCachePath(Opts.Count).c_str());
-      // The remap-search microbenchmark is cheap and cache-independent,
-      // so BENCH_vliw.json always carries the remap.* throughput gauges.
-      recordRemapSearchPerf(Reg, measureRemapSearch(64, 12, {2, 4}));
-      writeVliwBenchJson(Reg, Cached, /*Cached=*/true);
-      return Cached;
-    }
-  }
   auto WallStart = std::chrono::steady_clock::now();
   std::vector<LoopDdg> Corpus = generateLoopCorpus(Opts);
   VliwMachine Machine;
@@ -393,9 +274,8 @@ std::vector<VliwRow> dra::runVliwSuite(unsigned LoopCount, unsigned Jobs) {
   std::fprintf(stderr, "  [vliw] %zu loops x 5 rows in %.0f ms on %u "
                        "worker(s)\n",
                Corpus.size(), WallMs, Pool.workerCount());
-  storeVliwCache(Opts.Count, Rows);
   recordRemapSearchPerf(Reg, measureRemapSearch(64, 12, {2, 4}));
-  writeVliwBenchJson(Reg, Rows, /*Cached=*/false);
+  writeVliwBenchJson(Reg, Rows);
   return Rows;
 }
 

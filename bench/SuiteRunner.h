@@ -5,22 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Shared drivers for the paper-reproduction benchmarks. Each bench binary
-/// regenerates one table/figure; the underlying experiment (all five
-/// pipelines over the ten MiBench-like programs, or the 1928-loop VLIW
-/// sweep) is identical across binaries, so it lives here.
+/// The two experiments of the paper's evaluation (Section 10): all five
+/// pipelines over the ten MiBench-like programs (bench_lowend: Table 1,
+/// Figures 11-14) and the 1928-loop VLIW sweep (bench_vliw: Tables 2-3).
 ///
-/// Besides the human-readable tables each binary prints, every suite run
-/// also writes a machine-readable metrics snapshot — BENCH_lowend.json /
-/// BENCH_vliw.json in the working directory — in the dra-metrics-v1 schema
-/// (driver/Metrics.h), consumable by tools/dra-stats. Suite-level result
-/// gauges (suite.* / vliw.*) are written even when the on-disk result
-/// cache is hit; the allocator-deep counters and stage timing histograms
-/// require a fresh (uncached) run. Which of the two a snapshot is can be
-/// read off the snapshot itself: every BENCH_*.json carries a
-/// `cache.provenance` gauge — 0 when the experiment was computed fresh
-/// (deep counters present), 1 when it was replayed from the on-disk
-/// result cache (suite-level gauges only).
+/// Besides the tables each binary prints, every suite run also writes a
+/// machine-readable metrics snapshot — BENCH_lowend.json / BENCH_vliw.json
+/// in the working directory — in the dra-metrics-v1 schema
+/// (driver/Metrics.h), consumable by tools/dra-stats: the suite-level
+/// result gauges (suite.* / vliw.*) next to the allocator-deep counters
+/// and stage histograms of the same run.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -1,23 +1,15 @@
 //===- bench/bench_cache_throughput.cpp - Result-cache cold/warm bench ----===//
 //
 // Acceptance harness and microbenchmark for the content-addressed result
-// cache (driver/ResultCache.h). Two modes:
-//
-//  * --corpus=DIR: compiles every .dra file under DIR through the batch
-//    driver for all five schemes at Jobs 1 and 8, three passes per arm —
-//    cold (all misses), warm (all hits, repeated and averaged), and a
-//    verify pass at fraction 1.0 (every hit recompiled and byte-compared).
-//    Requires bit-identical warm payloads, zero verify mismatches, and a
-//    suite-level warm throughput of at least 5x cold; writes per-arm
-//    measurements as cache.* gauges labeled {scheme, jobs} to
-//    BENCH_cache.json. Runs as the `bench_cache_throughput_corpus` ctest
-//    (pass marker: "warm at least 5x cold overall").
-//
-//  * --provenance-smoke: runs the low-end suite twice in a scratch
-//    directory and asserts the cache.provenance gauge in
-//    BENCH_lowend.json reads 0 on the fresh run and 1 on the replay from
-//    the suite's on-disk TSV cache. Runs as the
-//    `bench_cache_provenance` ctest (pass marker: "provenance flips").
+// cache (driver/ResultCache.h). `--corpus=DIR` compiles every .dra file
+// under DIR through the batch driver for all five schemes at Jobs 1 and 8,
+// three passes per arm — cold (all misses), warm (all hits, repeated and
+// averaged), and a verify pass at fraction 1.0 (every hit recompiled and
+// byte-compared). Requires bit-identical warm payloads, zero verify
+// mismatches, and a suite-level warm throughput of at least 5x cold;
+// writes per-arm measurements as cache.* gauges labeled {scheme, jobs} to
+// BENCH_cache.json. Runs as the `bench_cache_throughput_corpus` ctest
+// (pass marker: "warm at least 5x cold overall").
 //
 //===----------------------------------------------------------------------===//
 
@@ -196,75 +188,14 @@ int runCorpus(const std::string &Dir) {
   return 0;
 }
 
-/// Reads the cache.provenance gauge out of BENCH_lowend.json in the
-/// current directory; returns -1 when absent or unreadable.
-double readProvenance() {
-  std::ifstream In("BENCH_lowend.json");
-  MetricsFileData Data;
-  if (!In || !loadMetricsJson(In, Data))
-    return -1;
-  for (const auto &[Key, Value] : Data.Gauges)
-    if (Key == "cache.provenance" ||
-        Key.rfind("cache.provenance{", 0) == 0)
-      return Value;
-  return -1;
-}
-
-int runProvenanceSmoke() {
-  namespace fs = std::filesystem;
-  // Scratch directory: the suite writes its TSV cache and BENCH json into
-  // the working directory, and this mode must not disturb real bench
-  // outputs.
-  std::error_code EC;
-  fs::create_directories("cache_provenance_smoke", EC);
-  fs::current_path("cache_provenance_smoke", EC);
-  if (EC) {
-    std::fprintf(stderr, "error: cannot enter scratch directory\n");
-    return 2;
-  }
-  // An off-default restart count keeps the TSV cache file distinct from
-  // any real suite run; remove it so the first run is genuinely fresh.
-  const unsigned RemapStarts = 5;
-  fs::remove(".dra_lowend_cache_" + std::to_string(RemapStarts) + ".tsv",
-             EC);
-
-  runLowEndSuite(RemapStarts);
-  double Fresh = readProvenance();
-  runLowEndSuite(RemapStarts);
-  double Cached = readProvenance();
-
-  std::printf("cache.provenance: fresh run %.0f, replayed run %.0f\n", Fresh,
-              Cached);
-  if (Fresh != 0 || Cached != 1) {
-    std::fprintf(stderr, "FAIL: expected 0 then 1\n");
-    return 1;
-  }
-  std::printf("provenance flips 0 -> 1 across the suite cache\n");
-  return 0;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
-  std::string Corpus;
-  bool ProvenanceSmoke = false;
-  for (int I = 1; I != Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg.rfind("--corpus=", 0) == 0)
-      Corpus = Arg.substr(std::strlen("--corpus="));
-    else if (Arg == "--provenance-smoke")
-      ProvenanceSmoke = true;
-    else {
-      std::fprintf(stderr, "usage: bench_cache_throughput [--corpus=DIR | "
-                           "--provenance-smoke]\n");
-      return 2;
-    }
+  const std::string Flag = "--corpus=";
+  std::string Arg = Argc == 2 ? Argv[1] : "";
+  if (Arg.size() <= Flag.size() || Arg.compare(0, Flag.size(), Flag) != 0) {
+    std::fprintf(stderr, "usage: bench_cache_throughput --corpus=DIR\n");
+    return 2;
   }
-  if (ProvenanceSmoke)
-    return runProvenanceSmoke();
-  if (!Corpus.empty())
-    return runCorpus(Corpus);
-  std::fprintf(stderr, "usage: bench_cache_throughput [--corpus=DIR | "
-                       "--provenance-smoke]\n");
-  return 2;
+  return runCorpus(Arg.substr(Flag.size()));
 }

@@ -27,6 +27,32 @@ const char *dra::schemeName(Scheme S) {
   return "<bad>";
 }
 
+const char *dra::wireSchemeName(Scheme S) {
+  switch (S) {
+  case Scheme::Baseline:
+    return "baseline";
+  case Scheme::OSpill:
+    return "ospill";
+  case Scheme::Remap:
+    return "remap";
+  case Scheme::Select:
+    return "select";
+  case Scheme::Coalesce:
+    return "coalesce";
+  }
+  return "coalesce";
+}
+
+bool dra::parseSchemeName(const std::string &Name, Scheme &Out) {
+  for (Scheme S : {Scheme::Baseline, Scheme::OSpill, Scheme::Remap,
+                   Scheme::Select, Scheme::Coalesce})
+    if (Name == wireSchemeName(S)) {
+      Out = S;
+      return true;
+    }
+  return false;
+}
+
 namespace {
 
 /// Depth-0 stage span over the result's span list (see driver/Metrics.h).
@@ -138,10 +164,8 @@ PipelineResult runOnce(const Function &Src, const PipelineConfig &C) {
       rewriteToPhysical(R.F, ColorOf, C.Enc.RegN, &R.Alloc.MovesRemoved);
       R.F.NumRegs = C.Enc.RegN;
     }
-    if (C.RemapPostPass) {
-      StageTimer T(R, "remap");
-      R.Remap = remapFunction(R.F, C.Enc, C.Remap);
-    }
+    StageTimer T(R, "remap");
+    R.Remap = remapFunction(R.F, C.Enc, C.Remap);
     R.DiffEncoded = true;
     break;
   }
@@ -157,10 +181,8 @@ PipelineResult runOnce(const Function &Src, const PipelineConfig &C) {
       CO.DiffAware = true;
       R.Coalesce = coalesceAndColor(R.F, C.Enc, CO, &R.Spans, &RunArena);
     }
-    if (C.RemapPostPass) {
-      StageTimer T(R, "remap");
-      R.Remap = remapFunction(R.F, C.Enc, C.Remap);
-    }
+    StageTimer T(R, "remap");
+    R.Remap = remapFunction(R.F, C.Enc, C.Remap);
     R.DiffEncoded = true;
     break;
   }

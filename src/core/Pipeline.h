@@ -56,16 +56,17 @@ struct PipelineConfig {
   /// Differential-encoding parameters for the Remap/Select/Coalesce
   /// schemes (RegN registers addressable through DiffW-bit fields).
   EncodingConfig Enc = lowEndConfig(12);
-  /// Options for the remapping post-pass.
+  /// Options for the remapping pass of Remap, and of the post-pass that
+  /// Select and Coalesce always run (Section 3: "differential remapping
+  /// can always be invoked after approach 2 or 3").
   RemapOptions Remap;
-  /// Run remapping after Select/Coalesce as well (Section 3: "differential
-  /// remapping can always be invoked after approach 2 or 3").
-  bool RemapPostPass = true;
   /// Section 8.2: enable differential encoding only when the statically
   /// estimated benefit (frequency-weighted spills saved) exceeds the
   /// estimated set_last_reg overhead; otherwise fall back to Baseline.
   bool AdaptiveEnable = false;
-  /// Coalesce-driver knobs (Coalesce/OSpill schemes).
+  /// Coalesce-driver knobs (Coalesce/OSpill schemes). The scheme decides
+  /// DiffAware (false for OSpill, true for Coalesce), so its value here is
+  /// ignored and not part of the cache key.
   CoalesceOptions Coalesce;
   /// ILP node budget (OSpill/Coalesce schemes).
   uint64_t ILPNodeBudget = 20000;

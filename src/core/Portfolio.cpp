@@ -39,32 +39,6 @@ bool dra::parsePortfolioMode(const std::string &Name, PortfolioMode &Out) {
   return true;
 }
 
-const char *dra::portfolioSchemeKey(Scheme S) {
-  switch (S) {
-  case Scheme::Baseline:
-    return "baseline";
-  case Scheme::OSpill:
-    return "ospill";
-  case Scheme::Remap:
-    return "remap";
-  case Scheme::Select:
-    return "select";
-  case Scheme::Coalesce:
-    return "coalesce";
-  }
-  return "?";
-}
-
-bool dra::parsePortfolioSchemeKey(const std::string &Name, Scheme &Out) {
-  for (Scheme S : {Scheme::Baseline, Scheme::OSpill, Scheme::Remap,
-                   Scheme::Select, Scheme::Coalesce})
-    if (Name == portfolioSchemeKey(S)) {
-      Out = S;
-      return true;
-    }
-  return false;
-}
-
 std::vector<PortfolioArm> dra::defaultPortfolioArms() {
   // The paper's three differential schemes. Coalesce leads so the
   // strongest scheme wins cost ties under the lowest-index rule.
@@ -164,7 +138,7 @@ std::string DecisionTable::toJson() const {
     OS << (I ? "," : "") << '"' << jsonEscape(Features[I]) << '"';
   OS << "],\"arms\":[";
   for (size_t I = 0; I != Arms.size(); ++I) {
-    OS << (I ? "," : "") << "{\"scheme\":\"" << portfolioSchemeKey(Arms[I].S)
+    OS << (I ? "," : "") << "{\"scheme\":\"" << wireSchemeName(Arms[I].S)
        << "\",\"remap_starts\":" << Arms[I].RemapStarts << "}";
   }
   OS << "],\"nodes\":[";
@@ -236,7 +210,7 @@ bool DecisionTable::fromJson(const std::string &Text, DecisionTable &Out,
     const JsonValue *S = A.field("scheme");
     PortfolioArm Arm;
     if (!S || S->K != JsonValue::String ||
-        !parsePortfolioSchemeKey(S->Str, Arm.S))
+        !parseSchemeName(S->Str, Arm.S))
       return tableErr(Err, "arm 'scheme' must name a known scheme");
     long long Starts = 0;
     if (!readInt(A, "remap_starts", /*Required=*/false, 0, 1 << 20, Starts,

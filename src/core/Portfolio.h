@@ -64,13 +64,6 @@ enum class PortfolioMode : uint8_t {
 const char *portfolioModeName(PortfolioMode M);
 bool parsePortfolioMode(const std::string &Name, PortfolioMode &Out);
 
-/// Lower-case machine name of \p S ("baseline", "ospill", "remap",
-/// "select", "coalesce") — the spelling the portfolio-v1 / train-v1 JSON
-/// documents and the wire protocol use, as opposed to schemeName()'s
-/// display names.
-const char *portfolioSchemeKey(Scheme S);
-bool parsePortfolioSchemeKey(const std::string &Name, Scheme &Out);
-
 /// One racing arm: a scheme plus an optional remap restart budget.
 struct PortfolioArm {
   Scheme S = Scheme::Coalesce;
@@ -110,8 +103,8 @@ struct DecisionPrediction {
 
 /// The trained-offline chooser model: an axis-aligned decision tree over
 /// the core/Features.h vector, serialized as portfolio-v1 JSON. Fit by
-/// tools/dra-tune; loaded by dra-server --portfolio-table and the
-/// dra-opt/dra-batch --portfolio-table flags.
+/// tools/dra-tune; loaded by the dra-server and dra-batch
+/// --portfolio-table flags.
 struct DecisionTable {
   /// Feature schema; must equal featureNames() to be valid.
   std::vector<std::string> Features;

@@ -232,8 +232,9 @@ uint64_t ResultCache::cacheKey(const Function &Src, const PipelineConfig &C) {
   }
 
   // Every config knob that steers the pipeline. Remap.Jobs is excluded
-  // (bit-identical at any worker count); Metrics/Cache pointers never
-  // affect the result by construction.
+  // (bit-identical at any worker count), and so is Coalesce.DiffAware
+  // (the scheme decides it); Metrics/Cache pointers never affect the
+  // result by construction.
   H.u8(static_cast<uint8_t>(C.S));
   H.u32(C.BaselineK);
   H.u32(C.Enc.RegN);
@@ -243,10 +244,8 @@ uint64_t ResultCache::cacheKey(const Function &Src, const PipelineConfig &C) {
   H.u64(C.Enc.SpecialRegs.size());
   for (RegId R : C.Enc.SpecialRegs)
     H.u32(R);
-  H.u8(C.RemapPostPass);
   H.u8(C.AdaptiveEnable);
   H.u64(C.ILPNodeBudget);
-  H.u8(C.Coalesce.DiffAware);
   H.u32(C.Coalesce.MaxCandidatesPerStep);
   H.u32(C.Coalesce.MaxSteps);
   H.u32(C.Remap.ExhaustiveLimit);

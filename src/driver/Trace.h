@@ -158,10 +158,10 @@ private:
 
 /// Streaming Chrome trace-event writer (the JSON Array Format:
 /// `{"traceEvents": [...]}` with "X" complete events and "M" metadata),
-/// the one writer behind every `--trace-out` (dra-opt, dra-batch and
-/// dra-loadgen's merge). Timestamps are microseconds; callers rebase
-/// absolute steadyClockNs() themselves so the viewer's origin is the
-/// first event, not machine boot.
+/// the one writer behind every `--trace-out` (dra-batch and dra-loadgen's
+/// merge). Timestamps are microseconds; callers rebase absolute
+/// steadyClockNs() themselves so the viewer's origin is the first event,
+/// not machine boot.
 class ChromeTraceWriter {
 public:
   explicit ChromeTraceWriter(std::ostream &OS) : OS(OS) {}

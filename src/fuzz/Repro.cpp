@@ -10,32 +10,6 @@ using namespace dra;
 
 namespace {
 
-const char *shortSchemeName(Scheme S) {
-  switch (S) {
-  case Scheme::Baseline:
-    return "baseline";
-  case Scheme::OSpill:
-    return "ospill";
-  case Scheme::Remap:
-    return "remap";
-  case Scheme::Select:
-    return "select";
-  case Scheme::Coalesce:
-    return "coalesce";
-  }
-  return "<bad>";
-}
-
-bool parseScheme(const std::string &Name, Scheme &Out) {
-  for (Scheme S : {Scheme::Baseline, Scheme::OSpill, Scheme::Remap,
-                   Scheme::Select, Scheme::Coalesce})
-    if (Name == shortSchemeName(S)) {
-      Out = S;
-      return true;
-    }
-  return false;
-}
-
 bool fail(std::string *Err, const std::string &Msg) {
   if (Err)
     *Err = Msg;
@@ -98,7 +72,7 @@ std::string dra::writeRepro(const FuzzCase &FC, const Function &P) {
   Out << "# case: " << FC.name() << "\n";
   Out << "# seed: " << FC.Seed << "\n";
   Out << "# index: " << FC.Index << "\n";
-  Out << "# scheme: " << shortSchemeName(FC.S) << "\n";
+  Out << "# scheme: " << wireSchemeName(FC.S) << "\n";
   Out << "# enc: regn=" << FC.Enc.RegN << " diffn=" << FC.Enc.DiffN
       << " diffw=" << FC.Enc.DiffW << " order="
       << (FC.Enc.Order == AccessOrder::SrcFirst ? "src" : "dst");
@@ -170,7 +144,7 @@ bool dra::loadRepro(const std::string &Text, FuzzCase &FC, Function &P,
     } else if (Key == "scheme:") {
       std::string Name;
       LS >> Name;
-      if (!parseScheme(Name, FC.S))
+      if (!parseSchemeName(Name, FC.S))
         return fail(Err, "repro: unknown scheme '" + Name + "'");
     } else if (Key == "fault:") {
       std::string Name;

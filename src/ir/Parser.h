@@ -6,7 +6,7 @@
 ///
 /// \file
 /// A parser for the textual form produced by printFunction(), so functions
-/// round-trip through text. Used by the golden tests and by the dra-opt
+/// round-trip through text. Used by the golden tests and by the dra-batch
 /// command-line tool, which accepts hand-written programs in this syntax:
 ///
 ///   func name regs=4 mem=16 spills=0

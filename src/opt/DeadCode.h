@@ -15,8 +15,8 @@
 /// The pass is deliberately *not* part of the benchmark pipelines: the
 /// evaluation workloads are calibrated with their dead fraction included
 /// (as real compiler output would be after -O2, close to none — the
-/// generator produces very little). It is exposed for the dra-opt tool and
-/// for users building their own pipelines.
+/// generator produces very little). It is exposed for dra-batch --cleanup
+/// and for users building their own pipelines.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -133,22 +133,6 @@ bool dra::writeFrame(int Fd, const std::string &Payload) {
 // Request / response payloads
 //===----------------------------------------------------------------------===//
 
-bool dra::parseSchemeName(const std::string &Name, Scheme &Out) {
-  if (Name == "baseline")
-    Out = Scheme::Baseline;
-  else if (Name == "ospill")
-    Out = Scheme::OSpill;
-  else if (Name == "remap")
-    Out = Scheme::Remap;
-  else if (Name == "select")
-    Out = Scheme::Select;
-  else if (Name == "coalesce")
-    Out = Scheme::Coalesce;
-  else
-    return false;
-  return true;
-}
-
 PipelineConfig CompileRequest::toConfig() const {
   PipelineConfig C;
   C.S = S;
@@ -251,25 +235,6 @@ bool parseDocument(const std::string &Payload, const char *Version,
 
 } // namespace
 
-/// The wire name of \p S — the dra-batch `--scheme=` vocabulary, NOT
-/// schemeName() (which returns the paper's display names, e.g.
-/// "remapping" for Scheme::Remap).
-const char *dra::wireSchemeName(Scheme S) {
-  switch (S) {
-  case Scheme::Baseline:
-    return "baseline";
-  case Scheme::OSpill:
-    return "ospill";
-  case Scheme::Remap:
-    return "remap";
-  case Scheme::Select:
-    return "select";
-  case Scheme::Coalesce:
-    return "coalesce";
-  }
-  return "coalesce";
-}
-
 std::string dra::encodeRequest(const CompileRequest &Req) {
   std::string Out = "dra-req-v1\n";
   Out += "scheme=";
@@ -334,6 +299,14 @@ bool dra::decodeRequest(const std::string &Payload, CompileRequest &Out,
   };
   if (!parseDocument(Payload, "dra-req-v1", OnKey, Req.Body, Err))
     return false;
+  const uint64_t Work = uint64_t(Req.RegN) * Req.RegN * Req.RemapStarts;
+  if (Work > MaxWireRemapWork)
+    return setError(Err, "'regn' " + std::to_string(Req.RegN) +
+                             " squared times 'remapstarts' " +
+                             std::to_string(Req.RemapStarts) + " is " +
+                             std::to_string(Work) +
+                             ", above the work bound of " +
+                             std::to_string(MaxWireRemapWork));
   Out = std::move(Req);
   return true;
 }

@@ -131,6 +131,14 @@ constexpr unsigned MaxWireRegN = 256;
 constexpr unsigned MaxWireBaselineK = 256;
 constexpr unsigned MaxWireRemapStarts = 10000;
 
+/// Upper bound on `regn`² × `remapstarts`, the remap search's work, under
+/// every scheme: the largest product the per-key bounds allow with the
+/// other knob at its default (256² × 200 restarts). decodeRequest checks
+/// it after reading every key, like the per-key bounds, and names both
+/// keys when a request exceeds it.
+constexpr uint64_t MaxWireRemapWork =
+    uint64_t(MaxWireRegN) * MaxWireRegN * 200;
+
 /// One compile request: the knobs dra-batch exposes per run, plus the
 /// function body in the textual IR syntax.
 struct CompileRequest {
@@ -187,13 +195,6 @@ struct CompileResponse {
   std::vector<WireSpan> Spans;
   std::vector<std::pair<uint64_t, std::string>> ThreadNames;
 };
-
-/// Parses a scheme name ("baseline"|"ospill"|"remap"|"select"|"coalesce").
-bool parseSchemeName(const std::string &Name, Scheme &Out);
-
-/// The wire name of \p S — parseSchemeName's vocabulary, NOT schemeName()
-/// (the paper's display names). Also the flight recorder's scheme label.
-const char *wireSchemeName(Scheme S);
 
 std::string encodeRequest(const CompileRequest &Req);
 

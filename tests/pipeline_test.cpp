@@ -115,6 +115,29 @@ TEST(Pipeline, SchemeNames) {
   EXPECT_STREQ(schemeName(Scheme::Coalesce), "coalesce");
 }
 
+TEST(Pipeline, WireSchemeNamesRoundTrip) {
+  const std::pair<Scheme, const char *> Wire[] = {
+      {Scheme::Baseline, "baseline"}, {Scheme::OSpill, "ospill"},
+      {Scheme::Remap, "remap"},       {Scheme::Select, "select"},
+      {Scheme::Coalesce, "coalesce"}};
+  for (const auto &[S, Name] : Wire) {
+    SCOPED_TRACE(Name);
+    EXPECT_STREQ(Name, wireSchemeName(S));
+    Scheme Parsed = S == Scheme::Baseline ? Scheme::Coalesce
+                                          : Scheme::Baseline;
+    ASSERT_TRUE(parseSchemeName(Name, Parsed));
+    EXPECT_EQ(S, Parsed);
+  }
+  // Display names, the portfolio's "auto", other case and "" are not
+  // machine names.
+  for (const char *Bad : {"O-spill", "remapping", "auto", "Coalesce", ""}) {
+    SCOPED_TRACE(Bad);
+    Scheme Untouched = Scheme::Select;
+    EXPECT_FALSE(parseSchemeName(Bad, Untouched));
+    EXPECT_EQ(Scheme::Select, Untouched);
+  }
+}
+
 TEST(Pipeline, StatsPercentagesConsistent) {
   Function F = miBenchProgram("dijkstra");
   PipelineResult R = runPipeline(F, fastConfig(Scheme::Coalesce));

@@ -205,6 +205,35 @@ TEST(Protocol, DecodeRequestBoundsCostlyKnobs) {
   }
 }
 
+TEST(Protocol, DecodeRequestBoundsRemapWork) {
+  auto Doc = [](unsigned RegN, unsigned Starts) {
+    return "dra-req-v1\nregn=" + std::to_string(RegN) +
+           "\nremapstarts=" + std::to_string(Starts) + "\nbody=0\n";
+  };
+  // The corners of regn^2 x remapstarts <= 256^2 x 200 decode; one step
+  // past each is a bad request naming both keys.
+  const std::pair<unsigned, unsigned> Corners[] = {
+      {256, 200}, {128, 800}, {64, 3200}, {36, 10000}};
+  const std::pair<unsigned, unsigned> Over[] = {
+      {256, 201}, {128, 801}, {64, 3201}, {37, 10000}};
+  for (const auto &[RegN, Starts] : Corners) {
+    SCOPED_TRACE(std::to_string(RegN) + "x" + std::to_string(Starts));
+    CompileRequest Out;
+    std::string Err;
+    ASSERT_TRUE(decodeRequest(Doc(RegN, Starts), Out, &Err)) << Err;
+    EXPECT_EQ(RegN, Out.RegN);
+    EXPECT_EQ(Starts, Out.RemapStarts);
+  }
+  for (const auto &[RegN, Starts] : Over) {
+    SCOPED_TRACE(std::to_string(RegN) + "x" + std::to_string(Starts));
+    CompileRequest Out;
+    std::string Err;
+    EXPECT_FALSE(decodeRequest(Doc(RegN, Starts), Out, &Err));
+    EXPECT_NE(std::string::npos, Err.find("'regn'")) << Err;
+    EXPECT_NE(std::string::npos, Err.find("'remapstarts'")) << Err;
+  }
+}
+
 TEST(Protocol, DecodeResponseRejectsMalformedDocuments) {
   CompileResponse Out;
   EXPECT_FALSE(decodeResponse("dra-resp-v9\nstatus=ok\nbody=0\n", Out));
@@ -692,8 +721,16 @@ TEST(CompileServer, OverBoundKnobIsABadRequestBeforeAnyWork) {
   CompileRequest K = tinyRequest();
   K.S = Scheme::Baseline;
   K.BaselineK = MaxWireBaselineK + 1;
+  // Both knobs within their own bounds, their product above the budget.
+  CompileRequest Work = tinyRequest();
+  Work.S = Scheme::Remap;
+  Work.RegN = 128;
+  Work.RemapStarts = 801;
   const std::pair<const char *, CompileRequest> Cases[] = {
-      {"remapstarts", Starts}, {"regn", RegN}, {"baselinek", K}};
+      {"remapstarts", Starts},
+      {"regn", RegN},
+      {"baselinek", K},
+      {"'regn' 128 squared times 'remapstarts' 801", Work}};
   for (const auto &[Key, Req] : Cases) {
     SCOPED_TRACE(Key);
     const uint64_t ErrorsBefore = Server.serverMetrics().Errors.load();

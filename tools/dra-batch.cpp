@@ -2,9 +2,12 @@
 //
 // Part of the differential-register-allocation reproduction library.
 //
-// Compiles a directory (or explicit list) of `.dra` files through the
-// parallel batch driver and emits a report: a per-file summary and a
-// per-stage table on stdout, an aggregate JSON report (--json-out), and a
+// The compile driver: reads functions in the textual IR syntax (see
+// src/ir/Parser.h) from a directory, an explicit list of `.dra` files or
+// stdin (`-`), compiles them through one allocation pipeline on the
+// parallel batch driver, and emits a report: a per-file summary and a
+// per-stage table on stdout, optional simulated cycles, binary sizes and
+// machine code per file, an aggregate JSON report (--json-out), and a
 // Chrome trace-event timeline (--trace-out) with one span per function and
 // its pipeline stages nested inside, viewable in chrome://tracing or
 // https://ui.perfetto.dev.
@@ -13,6 +16,7 @@
 
 #include "CliNum.h"
 
+#include "core/BinaryEmitter.h"
 #include "core/Features.h"
 #include "core/Pipeline.h"
 #include "driver/BatchCompiler.h"
@@ -20,6 +24,10 @@
 #include "driver/Trace.h"
 #include "interp/Interpreter.h"
 #include "ir/Parser.h"
+#include "opt/ConstantFold.h"
+#include "opt/DeadCode.h"
+#include "opt/SimplifyCfg.h"
+#include "sim/LowEndSim.h"
 
 #include <algorithm>
 #include <cmath>
@@ -28,6 +36,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -40,13 +49,14 @@ using namespace dra;
 namespace {
 
 const char *UsageText =
-    "usage: dra-batch [options] <dir-or-file.dra ...>\n"
+    "usage: dra-batch [options] <dir | file.dra | - ...>\n"
     "\n"
     "Compiles every .dra file found in the given directories (plus any\n"
-    "explicitly listed files) through one allocation pipeline on a worker\n"
-    "pool, and reports per-file and aggregate statistics. Files are\n"
-    "processed in sorted path order; results are deterministic and\n"
-    "independent of --jobs.\n"
+    "explicitly listed files, and one function read from stdin for '-')\n"
+    "through one allocation pipeline on a worker pool, and reports\n"
+    "per-file and aggregate statistics. A directory's files are processed\n"
+    "in sorted path order; results are deterministic and independent of\n"
+    "--jobs.\n"
     "\n"
     "options:\n"
     "  --scheme=NAME      baseline|ospill|remap|select|coalesce\n"
@@ -61,6 +71,11 @@ const char *UsageText =
     "                     are bit-identical at any value; prefer --jobs\n"
     "                     for batch throughput, --remap-jobs for latency\n"
     "                     of few large functions)\n"
+    "  --adaptive         Section 8.2 selective enabling: fall back to the\n"
+    "                     baseline where differential encoding does not\n"
+    "                     pay (marked in the file's row)\n"
+    "  --cleanup          run fold/simplify/DCE before allocation (and\n"
+    "                     before the reference run)\n"
     "  --jobs=N           pool workers (default 0 = hardware concurrency)\n"
     "  --per-task-seeds   decorrelate remap RNG streams per input\n"
     "  --trace-out=FILE   Chrome trace-event JSON (chrome://tracing)\n"
@@ -95,6 +110,11 @@ const char *UsageText =
     "                     features, and write a portfolio-train-v1 JSON\n"
     "                     corpus for tools/dra-tune (ignores --scheme and\n"
     "                     --portfolio)\n"
+    "  --simulate         run the pipeline model; one 'simulated:' line\n"
+    "                     per file\n"
+    "  --emit-size        bit-exact binary sizes (direct vs differential);\n"
+    "                     one 'binary:' line per differential file\n"
+    "  --print-code       print each resulting function after the report\n"
     "  --help             show this text\n"
     "\n"
     "exit status: 0 on success, 1 when any input fails to parse/compile,\n"
@@ -111,6 +131,11 @@ struct Options {
   unsigned RemapJobs = 1;
   unsigned Jobs = 0;
   bool PerTaskSeeds = false;
+  bool Adaptive = false;
+  bool Cleanup = false;
+  bool Simulate = false;
+  bool EmitSize = false;
+  bool PrintCode = false;
   bool Help = false;
   std::string TraceOut;
   std::string JsonOut;
@@ -127,22 +152,6 @@ struct Options {
   std::vector<std::string> Inputs;
 };
 
-bool parseScheme(const std::string &Name, Scheme &Out) {
-  if (Name == "baseline")
-    Out = Scheme::Baseline;
-  else if (Name == "ospill")
-    Out = Scheme::OSpill;
-  else if (Name == "remap")
-    Out = Scheme::Remap;
-  else if (Name == "select")
-    Out = Scheme::Select;
-  else if (Name == "coalesce")
-    Out = Scheme::Coalesce;
-  else
-    return false;
-  return true;
-}
-
 bool parseArgs(int Argc, char **Argv, Options &O) {
   for (int I = 1; I != Argc; ++I) {
     std::string Arg = Argv[I];
@@ -151,7 +160,7 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
       return Arg.compare(0, Len, Prefix) == 0 ? Arg.c_str() + Len : nullptr;
     };
     if (const char *V = Value("--scheme=")) {
-      if (!parseScheme(V, O.S)) {
+      if (!parseSchemeName(V, O.S)) {
         std::fprintf(stderr, "error: unknown scheme '%s'\n", V);
         return false;
       }
@@ -223,6 +232,16 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
       O.PortfolioTrain = V;
     } else if (Arg == "--per-task-seeds") {
       O.PerTaskSeeds = true;
+    } else if (Arg == "--adaptive") {
+      O.Adaptive = true;
+    } else if (Arg == "--cleanup") {
+      O.Cleanup = true;
+    } else if (Arg == "--simulate") {
+      O.Simulate = true;
+    } else if (Arg == "--emit-size") {
+      O.EmitSize = true;
+    } else if (Arg == "--print-code") {
+      O.PrintCode = true;
     } else if (Arg == "--help" || Arg == "-h") {
       O.Help = true;
     } else if (Arg.rfind("--", 0) == 0) {
@@ -236,14 +255,17 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
   return true;
 }
 
-/// Expands directories into their .dra files; keeps files as given.
-/// Returns false (with a diagnostic) for a path that is neither.
+/// Expands directories into their .dra files; keeps files and `-` (stdin)
+/// as given. Returns false (with a diagnostic) for a path that is none of
+/// these.
 bool collectInputs(const std::vector<std::string> &Inputs,
                    std::vector<std::string> &Files) {
   namespace fs = std::filesystem;
   for (const std::string &In : Inputs) {
     std::error_code EC;
-    if (fs::is_directory(In, EC)) {
+    if (In == "-") {
+      Files.push_back(In);
+    } else if (fs::is_directory(In, EC)) {
       std::vector<std::string> Found;
       for (const fs::directory_entry &E : fs::directory_iterator(In, EC))
         if (E.is_regular_file() && E.path().extension() == ".dra")
@@ -285,7 +307,7 @@ int runTrainSweep(const Options &O, const PipelineConfig &Base,
     for (size_t I = 0; I != Results.size(); ++I) {
       if (fingerprint(interpret(Results[I].F)) != RefFp[I]) {
         std::fprintf(stderr, "error: %s: semantics changed under arm %s\n",
-                     Files[I].c_str(), portfolioSchemeKey(Arms[A].S));
+                     Files[I].c_str(), wireSchemeName(Arms[A].S));
         AllOk = false;
       }
       Costs[A].push_back(encodedCost(Results[I]));
@@ -304,7 +326,7 @@ int runTrainSweep(const Options &O, const PipelineConfig &Base,
     Out << (I ? "," : "") << '"' << jsonEscape(Names[I]) << '"';
   Out << "],\"arms\":[";
   for (size_t A = 0; A != Arms.size(); ++A)
-    Out << (A ? "," : "") << "{\"scheme\":\"" << portfolioSchemeKey(Arms[A].S)
+    Out << (A ? "," : "") << "{\"scheme\":\"" << wireSchemeName(Arms[A].S)
         << "\",\"remap_starts\":" << Arms[A].RemapStarts << "}";
   Out << "],\"samples\":[";
   for (size_t I = 0; I != Functions.size(); ++I) {
@@ -343,7 +365,7 @@ int runTrainSweep(const Options &O, const PipelineConfig &Base,
               Functions.size(), Arms.size(), O.PortfolioTrain.c_str());
   for (size_t A = 0; A != Arms.size(); ++A)
     std::printf("  arm %zu (%s, remap_starts=%u): %zu win(s)\n", A,
-                portfolioSchemeKey(Arms[A].S), Arms[A].RemapStarts, Wins[A]);
+                wireSchemeName(Arms[A].S), Arms[A].RemapStarts, Wins[A]);
   return AllOk ? 0 : 1;
 }
 
@@ -436,6 +458,7 @@ int main(int Argc, char **Argv) {
   Config.Enc.DiffW = O.DiffW;
   Config.Remap.NumStarts = O.RemapStarts;
   Config.Remap.Jobs = O.RemapJobs;
+  Config.AdaptiveEnable = O.Adaptive;
   if (!Config.Enc.valid()) {
     std::fprintf(stderr, "error: invalid encoding configuration "
                          "(regn/diffn/diffw)\n");
@@ -471,13 +494,19 @@ int main(int Argc, char **Argv) {
   std::vector<Function> Functions;
   std::vector<uint64_t> RefFp;
   for (const std::string &File : Files) {
-    std::ifstream In(File);
-    if (!In) {
-      std::fprintf(stderr, "error: cannot open '%s'\n", File.c_str());
-      return 1;
+    std::string Text;
+    if (File == "-") {
+      Text.assign(std::istreambuf_iterator<char>(std::cin),
+                  std::istreambuf_iterator<char>{});
+    } else {
+      std::ifstream In(File);
+      if (!In) {
+        std::fprintf(stderr, "error: cannot open '%s'\n", File.c_str());
+        return 1;
+      }
+      Text.assign(std::istreambuf_iterator<char>(In),
+                  std::istreambuf_iterator<char>{});
     }
-    std::string Text(std::istreambuf_iterator<char>(In),
-                     std::istreambuf_iterator<char>{});
     std::string Err;
     auto Parsed = parseFunction(Text, &Err);
     if (!Parsed) {
@@ -489,6 +518,15 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "error: %s: invalid function: %s\n",
                    File.c_str(), Err.c_str());
       return 1;
+    }
+    if (O.Cleanup) {
+      ConstantFoldStats CF = foldConstants(*Parsed);
+      SimplifyCfgStats SC = simplifyCfg(*Parsed);
+      size_t Dce = eliminateDeadCode(*Parsed);
+      std::printf("%s: cleanup: folded %zu insts + %zu branches, merged "
+                  "%zu blocks, removed %zu dead insts\n",
+                  File.c_str(), CF.InstsFolded, CF.BranchesFolded,
+                  SC.BlocksMerged, Dce);
     }
     RefFp.push_back(fingerprint(interpret(*Parsed)));
     Functions.push_back(std::move(*Parsed));
@@ -530,9 +568,37 @@ int main(int Argc, char **Argv) {
     const PipelineResult &R = Results[I];
     bool Same = fingerprint(interpret(R.F)) == RefFp[I];
     AllOk = AllOk && Same;
-    std::printf("%-28s %8zu %8zu %8zu %10zu %s\n", Files[I].c_str(),
+    std::printf("%-28s %8zu %8zu %8zu %10zu %s%s\n", Files[I].c_str(),
                 R.NumInsts, R.SpillInsts, R.SetLastRegs, R.CodeBytes,
-                Same ? "ok" : "CHANGED (bug!)");
+                Same ? "ok" : "CHANGED (bug!)",
+                R.AdaptiveFellBack ? " (adaptive: baseline)" : "");
+  }
+  if (O.Simulate || O.EmitSize)
+    std::printf("\n");
+  for (size_t I = 0; I != Files.size(); ++I) {
+    const PipelineResult &R = Results[I];
+    if (O.Simulate) {
+      SimResult Sim = simulate(R.F);
+      std::printf("%s: simulated: %llu cycles, %llu insts, I$ miss %llu, "
+                  "D$ miss %llu, spill accesses %llu, slr slots %llu\n",
+                  Files[I].c_str(),
+                  static_cast<unsigned long long>(Sim.Cycles),
+                  static_cast<unsigned long long>(Sim.DynInsts),
+                  static_cast<unsigned long long>(Sim.ICacheMisses),
+                  static_cast<unsigned long long>(Sim.DCacheMisses),
+                  static_cast<unsigned long long>(Sim.SpillAccesses),
+                  static_cast<unsigned long long>(Sim.SlrSlots));
+    }
+    if (O.EmitSize && R.DiffEncoded) {
+      Function Stripped = stripSetLastReg(R.F);
+      EncodedFunction E = encodeFunction(Stripped, Config.Enc);
+      BinaryModule Diff = emitDifferential(E, Config.Enc);
+      BinaryModule Direct = emitDirect(Stripped);
+      std::printf("%s: binary: direct %zu bits (%u-bit fields), "
+                  "differential %zu bits (%u-bit fields)\n",
+                  Files[I].c_str(), Direct.BitCount, Direct.FieldWidth,
+                  Diff.BitCount, Diff.FieldWidth);
+    }
   }
 
   std::printf("\nbatch: %zu files, scheme %s, %u worker(s), %.1f ms "
@@ -570,6 +636,10 @@ int main(int Argc, char **Argv) {
     std::printf("%-12s %8zu %12.0f %10.1f %10.0f %10.0f\n", Name.c_str(),
                 H.Count, H.Sum, H.Sum / static_cast<double>(H.Count), H.Min,
                 H.Max);
+  if (O.PrintCode)
+    for (size_t I = 0; I != Files.size(); ++I)
+      std::printf("\n; %s\n%s", Files[I].c_str(),
+                  printFunction(Results[I].F).c_str());
 
   if (!O.TraceOut.empty()) {
     std::ofstream Out(O.TraceOut);

@@ -50,7 +50,7 @@ const char *UsageText =
     "                     five schemes; every file must carry an\n"
     "                     '// expect: N' annotation (exit 1 otherwise)\n"
     "  --emit-dir=DIR     lower only: write DIR/<stem>.dra in the textual\n"
-    "                     IR syntax for dra-opt/dra-batch/dra-loadgen\n"
+    "                     IR syntax for dra-batch/dra-loadgen\n"
     "\n"
     "pipeline options:\n"
     "  --scheme=NAME      baseline|ospill|remap|select|coalesce|all\n"
@@ -89,23 +89,10 @@ struct Options {
   std::vector<std::string> InputFiles;
 };
 
+/// One scheme name, or "all" for every scheme.
 bool parseScheme(const std::string &Name, Options &O) {
-  O.AllSchemes = false;
-  if (Name == "baseline")
-    O.S = Scheme::Baseline;
-  else if (Name == "ospill")
-    O.S = Scheme::OSpill;
-  else if (Name == "remap")
-    O.S = Scheme::Remap;
-  else if (Name == "select")
-    O.S = Scheme::Select;
-  else if (Name == "coalesce")
-    O.S = Scheme::Coalesce;
-  else if (Name == "all")
-    O.AllSchemes = true;
-  else
-    return false;
-  return true;
+  O.AllSchemes = Name == "all";
+  return O.AllSchemes || parseSchemeName(Name, O.S);
 }
 
 bool parseArgs(int Argc, char **Argv, Options &O) {

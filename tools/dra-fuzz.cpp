@@ -39,11 +39,12 @@ const char *UsageText =
     "checks, for every scheme variant (remap, select, coalesce, plus\n"
     "remap-parallel — the remap pipeline with the multi-start search on\n"
     "pool workers — cache-replay, which recompiles through a warm result\n"
-    "cache and requires a bit-identical replay, and csrc, which compiles\n"
-    "a seeded random mini-C source file through the frontend and fuzzes\n"
-    "the lowered function) and encoding\n"
-    "variant ({lowend, vliw} x {src-first, dst-first} x {with, without\n"
-    "special registers}), that the pipeline preserves semantics,\n"
+    "cache and requires a bit-identical replay, csrc, which compiles a\n"
+    "seeded random mini-C source file through the frontend and fuzzes\n"
+    "the lowered function, and portfolio, which races the scheme\n"
+    "portfolio and checks the winner against every arm run alone) and\n"
+    "encoding variant ({lowend, vliw} x {src-first, dst-first} x {with,\n"
+    "without special registers}), that the pipeline preserves semantics,\n"
     "that decode(encode(F)) == F field for field, that the lockstep\n"
     "interpreter oracle sees identical traces, and that the structural\n"
     "invariants hold (permutation well-formedness, interference\n"
@@ -55,13 +56,13 @@ const char *UsageText =
     "\n"
     "options:\n"
     "  --seeds=N          cases to run (default 90; a multiple of the\n"
-    "                     36-variant scheme x config matrix covers it\n"
-    "                     evenly)\n"
+    "                     42-case matrix, 7 scheme variants x 6 configs,\n"
+    "                     covers it evenly)\n"
     "  --only=VARIANT     run only case slots of one scheme variant\n"
     "                     (remap|select|coalesce|remap-parallel|\n"
-    "                     cache-replay|csrc); indices are taken from the\n"
-    "                     full matrix, so each case is identical to its\n"
-    "                     unfiltered run\n"
+    "                     cache-replay|csrc|portfolio); indices are taken\n"
+    "                     from the full matrix, so each case is identical\n"
+    "                     to its unfiltered run\n"
     "  --seed-start=N     first case index (default 0); resume a sweep\n"
     "                     with --seed-start=<cases already run>\n"
     "  --base-seed=N      base RNG seed for the whole sweep (default 1)\n"

@@ -2,7 +2,7 @@
 //
 // Part of the differential-register-allocation reproduction library.
 //
-// Loads two dra-metrics-v1 JSON files (written by dra-opt/dra-batch
+// Loads two dra-metrics-v1 JSON files (written by dra-batch
 // --metrics-out, the bench binaries' BENCH_*.json, or any
 // MetricsRegistry::writeJsonFile call), prints a per-metric diff with
 // percentage deltas, and — with --fail-on — exits non-zero when a named
@@ -35,7 +35,7 @@ const char *UsageText =
     "       dra-stats --validate-trace <trace.json> [trace.json ...]\n"
     "\n"
     "Compares two dra-metrics-v1 metrics files (see driver/Metrics.h;\n"
-    "written by dra-opt/dra-batch --metrics-out and the bench binaries'\n"
+    "written by dra-batch --metrics-out and the bench binaries'\n"
     "BENCH_*.json) and prints a per-metric diff with % deltas. Counters\n"
     "and gauges compare their values; histograms compare their sums (the\n"
     "count and p50/p90/p99 shifts are shown in the table).\n"
@@ -44,7 +44,7 @@ const char *UsageText =
     "  --validate           parse and schema-check the given files instead\n"
     "                       of diffing; exit 1 on the first invalid one\n"
     "  --validate-trace     schema-check Chrome trace-event JSON (as\n"
-    "                       written by --trace-out of dra-opt/dra-batch/\n"
+    "                       written by --trace-out of dra-batch or\n"
     "                       dra-loadgen): a traceEvents array whose events\n"
     "                       carry string name/ph, numeric pid/tid/ts, and\n"
     "                       a non-negative dur on every ph=\"X\" event;\n"

@@ -167,7 +167,7 @@ bool loadTrainingSet(const std::string &File, TrainingSet &TS,
     const JsonValue *S = V.field("scheme");
     PortfolioArm A;
     if (!S || S->K != JsonValue::String ||
-        !parsePortfolioSchemeKey(S->Str, A.S))
+        !parseSchemeName(S->Str, A.S))
       return loadErr(File, "arm has no valid \"scheme\"", Err);
     if (const JsonValue *RS = V.field("remap_starts")) {
       if (RS->K != JsonValue::Number || RS->Num < 0)
