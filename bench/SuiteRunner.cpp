@@ -2,8 +2,6 @@
 
 #include "SuiteRunner.h"
 
-#include "adt/Rng.h"
-#include "core/Remap.h"
 #include "driver/BatchCompiler.h"
 #include "driver/Metrics.h"
 #include "driver/ThreadPool.h"
@@ -274,66 +272,6 @@ std::vector<VliwRow> dra::runVliwSuite(unsigned LoopCount, unsigned Jobs) {
   std::fprintf(stderr, "  [vliw] %zu loops x 5 rows in %.0f ms on %u "
                        "worker(s)\n",
                Corpus.size(), WallMs, Pool.workerCount());
-  recordRemapSearchPerf(Reg, measureRemapSearch(64, 12, {2, 4}));
   writeVliwBenchJson(Reg, Rows);
   return Rows;
-}
-
-std::vector<RemapSearchPerf>
-dra::measureRemapSearch(unsigned RegN, unsigned NumStarts,
-                        const std::vector<unsigned> &ParallelJobs) {
-  EncodingConfig C = vliwConfig(RegN);
-  // Dense seeded graph with small integer weights: every cost and delta
-  // is an exactly representable double.
-  Rng R(0x5eedbead ^ RegN);
-  AdjacencyGraph G(RegN);
-  for (unsigned E = 0; E != RegN * 8; ++E) {
-    RegId A = static_cast<RegId>(R.nextBelow(RegN));
-    RegId B = static_cast<RegId>(R.nextBelow(RegN));
-    if (A != B)
-      G.addWeight(A, B, static_cast<double>(1 + R.nextBelow(9)));
-  }
-
-  std::vector<unsigned> JobCounts = {1};
-  for (unsigned J : ParallelJobs)
-    if (J > 1)
-      JobCounts.push_back(J);
-
-  std::vector<RemapSearchPerf> Out;
-  std::vector<RegId> Reference;
-  for (unsigned Jobs : JobCounts) {
-    RemapOptions O;
-    O.NumStarts = NumStarts;
-    O.Jobs = Jobs;
-    auto T0 = std::chrono::steady_clock::now();
-    RemapResult RR = findRemap(G, C, O);
-    double Sec =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
-            .count();
-    if (Jobs == 1)
-      Reference = RR.Perm;
-    RemapSearchPerf P;
-    P.RegN = RegN;
-    P.Jobs = Jobs;
-    P.Seconds = Sec;
-    P.SwapsEvaluated = static_cast<double>(RR.SwapsEvaluated);
-    P.SwapsPerSec = P.SwapsEvaluated / std::max(Sec, 1e-9);
-    P.CostAfter = RR.CostAfter;
-    P.MatchesReference = RR.Perm == Reference;
-    Out.push_back(std::move(P));
-  }
-  return Out;
-}
-
-void dra::recordRemapSearchPerf(MetricsRegistry &Reg,
-                                const std::vector<RemapSearchPerf> &Perf) {
-  for (const RemapSearchPerf &P : Perf) {
-    MetricLabels L{{"jobs", std::to_string(P.Jobs)},
-                   {"regn", std::to_string(P.RegN)}};
-    Reg.gauge("remap.search_seconds", P.Seconds, L);
-    Reg.gauge("remap.swaps_evaluated", P.SwapsEvaluated, L);
-    Reg.gauge("remap.swaps_evaluated_per_sec", P.SwapsPerSec, L);
-    Reg.gauge("remap.cost_after", P.CostAfter, L);
-    Reg.gauge("remap.matches_reference", P.MatchesReference ? 1.0 : 0.0, L);
-  }
 }

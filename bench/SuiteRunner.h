@@ -94,33 +94,6 @@ struct VliwRow {
 /// bit-identical to the serial run.
 std::vector<VliwRow> runVliwSuite(unsigned LoopCount = 0, unsigned Jobs = 0);
 
-/// One timed run of the remap-search microbenchmark (bench_remap_search;
-/// also folded into BENCH_vliw.json by the VLIW suite as remap.* gauges).
-struct RemapSearchPerf {
-  unsigned RegN = 0;
-  unsigned Jobs = 1;   ///< RemapOptions::Jobs of this run.
-  double Seconds = 0;  ///< Wall time of the findRemap call.
-  double SwapsEvaluated = 0;
-  double SwapsPerSec = 0; ///< The throughput metric CI gates on.
-  double CostAfter = 0;
-  /// Permutation identical to the Jobs 1 run's (the search is
-  /// bit-identical at any worker count, so any divergence is a bug).
-  bool MatchesReference = true;
-};
-
-/// Times the production multi-start greedy remap search over a seeded
-/// dense synthetic adjacency graph at \p RegN (vliwConfig, integer
-/// weights): at Jobs 1, then at each worker count in \p ParallelJobs.
-/// Every run evaluates the identical swap sequence, so swaps/second
-/// compares pure evaluation throughput.
-std::vector<RemapSearchPerf>
-measureRemapSearch(unsigned RegN, unsigned NumStarts,
-                   const std::vector<unsigned> &ParallelJobs);
-
-/// Folds \p Perf into \p Reg as remap.* gauges labeled {jobs, regn}.
-void recordRemapSearchPerf(MetricsRegistry &Reg,
-                           const std::vector<RemapSearchPerf> &Perf);
-
 } // namespace dra
 
 #endif // DRA_BENCH_SUITERUNNER_H

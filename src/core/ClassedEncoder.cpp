@@ -286,20 +286,7 @@ bool dra::verifyClassedDecodable(const Function &Annotated,
   std::vector<std::vector<ClassState>> Entry =
       classedEntryStates(Annotated, C);
 
-  // Reachability.
-  std::vector<uint8_t> Reachable(Annotated.Blocks.size(), 0);
-  std::vector<uint32_t> Work{0};
-  Reachable[0] = 1;
-  while (!Work.empty()) {
-    uint32_t B = Work.back();
-    Work.pop_back();
-    for (uint32_t S : Annotated.Blocks[B].Succs)
-      if (!Reachable[S]) {
-        Reachable[S] = 1;
-        Work.push_back(S);
-      }
-  }
-
+  std::vector<uint8_t> Reachable = Annotated.reachableBlocks();
   for (uint32_t B = 0; B != Annotated.Blocks.size(); ++B) {
     if (!Reachable[B])
       continue;

@@ -37,25 +37,6 @@ struct DecodeState {
   }
 };
 
-/// Blocks reachable from the entry block by CFG successor edges.
-std::vector<uint8_t> reachableBlocks(const Function &F) {
-  std::vector<uint8_t> Reachable(F.Blocks.size(), 0);
-  if (F.Blocks.empty())
-    return Reachable;
-  std::vector<uint32_t> Work{0};
-  Reachable[0] = 1;
-  while (!Work.empty()) {
-    uint32_t B = Work.back();
-    Work.pop_back();
-    for (uint32_t S : F.Blocks[B].Succs)
-      if (!Reachable[S]) {
-        Reachable[S] = 1;
-        Work.push_back(S);
-      }
-  }
-  return Reachable;
-}
-
 /// First non-special register accessed in a block, if any.
 std::optional<RegId> firstAccessOf(const Function &F, uint32_t Block,
                                    const EncodingConfig &C) {
@@ -108,7 +89,7 @@ std::vector<DecodeState> entryStates(const Function &F,
   // in the dataflow, a reachable join that was clean before annotation
   // could become Conflict after it, and verifyDecodable would reject a
   // block the encoder (correctly) left unrepaired.
-  std::vector<uint8_t> Reachable = reachableBlocks(F);
+  std::vector<uint8_t> Reachable = F.reachableBlocks();
 
   bool Changed = true;
   while (Changed) {
@@ -292,7 +273,7 @@ bool dra::verifyDecodable(const Function &Annotated, const EncodingConfig &C,
   SpecialRegLookup Special(C);
 
   // Reachability, so unreachable blocks are exempt.
-  std::vector<uint8_t> Reachable = reachableBlocks(Annotated);
+  std::vector<uint8_t> Reachable = Annotated.reachableBlocks();
 
   for (uint32_t B = 0; B != Annotated.Blocks.size(); ++B) {
     if (!Reachable[B])

@@ -367,9 +367,9 @@ PipelineResult dra::runPortfolio(const Function &Src, const PipelineConfig &C,
     for (size_t I = 0; I != Arms.size(); ++I)
       RunArm(I);
   } else {
-    // A transient pool per race: pools nest (the remap search inside an
-    // arm, the race inside a BatchCompiler or server worker task), and a
-    // race is a handful of long tasks, so pool setup cost is noise.
+    // A transient pool per race: pools nest (the race inside a
+    // BatchCompiler or server worker task), and a race is a handful of
+    // long tasks, so pool setup cost is noise.
     ThreadPool Pool(Jobs);
     Pool.parallelFor(Arms.size(), RunArm);
   }

@@ -8,8 +8,8 @@
 /// The scheme portfolio: race a configurable set of pipeline arms (scheme
 /// + optional remap restart budget) over one function and commit the
 /// winner by the deterministic `(encoded-cost, arm-index)` reduction rule
-/// — the same shape as the remap search's `(cost, start-index)` winner
-/// rule, so results are bit-identical at any `Jobs`.
+/// (the same shape as the remap search's `(cost, start-index)` winner
+/// rule), so results are bit-identical at any `Jobs`.
 ///
 /// **Winner rule.** Every arm's result is scored by `encodedCost()`, a
 /// packed 64-bit integer over the final static overhead counts
@@ -147,7 +147,7 @@ struct PortfolioConfig {
   std::vector<PortfolioArm> Arms;
   /// Pool workers for one race: 0 = one worker per arm, 1 = exact serial
   /// semantics. Pure wall-clock knob — results are bit-identical at any
-  /// value — and therefore excluded from the cache key, like Remap.Jobs.
+  /// value — and therefore excluded from the cache key.
   /// Each race runs on its own transient pool, so racing nests safely
   /// inside BatchCompiler / server worker tasks.
   unsigned Jobs = 1;

@@ -3,12 +3,10 @@
 #include "core/Remap.h"
 
 #include "adt/Rng.h"
-#include "driver/ThreadPool.h"
 
 #include <algorithm>
-#include <atomic>
+#include <cassert>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 using namespace dra;
@@ -65,23 +63,17 @@ RemapResult exhaustiveSearch(const AdjacencyGraph &G,
   return Best;
 }
 
-/// Per-descent effort, merged into RemapResult by the search driver.
-struct DescentStats {
-  size_t Eval = 0;
-  size_t Applied = 0;
-  size_t Arcs = 0;
-};
-
 /// One greedy descent from \p Perm: evaluate every pairwise swap of the
 /// movable registers against the precomputed cost model
 /// (O(degree(U) + degree(V)) per candidate), apply the first best strict
-/// improvement, repeat until none is left. The permutation's cost is
-/// maintained incrementally across applied swaps; debug builds
-/// cross-check it against a full recost after every applied swap.
+/// improvement, repeat until none is left. Effort accumulates into \p S's
+/// search counters. The permutation's cost is maintained incrementally
+/// across applied swaps; debug builds cross-check it against a full
+/// recost after every applied swap.
 double greedyDescent(const AdjacencyGraph &G, const EncodingConfig &C,
                      const RemapCostModel &M,
                      const std::vector<RegId> &Movable,
-                     std::vector<RegId> &Perm, DescentStats &S) {
+                     std::vector<RegId> &Perm, RemapResult &S) {
   double Cost = G.cost(Perm, C);
   for (;;) {
     double BestDelta = 0;
@@ -89,8 +81,8 @@ double greedyDescent(const AdjacencyGraph &G, const EncodingConfig &C,
     for (size_t I = 0; I + 1 < Movable.size(); ++I) {
       for (size_t J = I + 1; J < Movable.size(); ++J) {
         RegId U = Movable[I], V = Movable[J];
-        ++S.Eval;
-        S.Arcs += M.deltaArcs(U, V);
+        ++S.SwapsEvaluated;
+        S.DeltaArcsVisited += M.deltaArcs(U, V);
         double Delta = M.swapDelta(Perm, U, V);
         if (Delta < BestDelta) {
           BestDelta = Delta;
@@ -102,7 +94,7 @@ double greedyDescent(const AdjacencyGraph &G, const EncodingConfig &C,
     if (BestDelta >= 0)
       return Cost;
     std::swap(Perm[Movable[BestI]], Perm[Movable[BestJ]]);
-    ++S.Applied;
+    ++S.SwapsApplied;
     Cost += BestDelta;
 #ifndef NDEBUG
     double Full = G.cost(Perm, C);
@@ -113,146 +105,46 @@ double greedyDescent(const AdjacencyGraph &G, const EncodingConfig &C,
   }
 }
 
-/// Maps a non-NaN double to an unsigned key with the same total order, so
-/// the shared best-cost bound can be a lock-free CAS-min on uint64_t.
-uint64_t orderedCostBits(double D) {
-  uint64_t B;
-  std::memcpy(&B, &D, sizeof B);
-  return (B & (1ull << 63)) ? ~B : B | (1ull << 63);
-}
-
-/// The multi-start greedy search, optionally sharded over a thread pool.
-/// The result is the one a sequential loop over the starts would return
-/// (Jobs = 1 runs exactly that loop), bit-identical at any Jobs value:
-///
-///  * every restart vector is drawn up front on the calling thread from
-///    the one sequential Rng stream, so start k sees the same initial
-///    permutation regardless of scheduling;
-///  * descents are per-start deterministic;
-///  * the only deterministic early cutoff is a provable global minimum —
-///    a start finishing at cost zero — tracked as the minimum zero-cost
-///    start index: StartsRun = FirstZero + 1 matches the sequential break,
-///    counters sum only over starts below it, and speculatively-run
-///    higher-indexed starts are discarded from stats and reduction;
-///  * a shared atomic best-cost bound (CAS-min) additionally gates which
-///    starts keep their permutation alive for the reduction — a start
-///    whose final cost exceeds the bound at completion can never win
-///    (cost, start-index) and drops its vector immediately;
-///  * the winner is the lowest-cost start, earliest index on ties —
-///    exactly the sequential update rule `Cost < Best.CostAfter`.
+/// The multi-start greedy search. Start 0 descends from the identity;
+/// start k >= 1 draws its shuffle of the movable registers from the one
+/// Rng(O.Seed) stream just before its descent, so restart k's vector is
+/// the k-th draw of that stream and memory stays O(RegN) at any
+/// NumStarts. The earliest strictly cheaper start keeps its permutation,
+/// and a start that reaches cost zero — the provable minimum, since
+/// weights are nonnegative — ends the search.
 RemapResult greedySearch(const AdjacencyGraph &G, const EncodingConfig &C,
                          const RemapOptions &O) {
   unsigned N = C.RegN;
   std::vector<RegId> Movable = movableRegs(C, O);
-
-  std::vector<RegId> Identity(N);
-  for (RegId R = 0; R != N; ++R)
-    Identity[R] = R;
+  RemapCostModel Model(G, C);
+  Rng Random(O.Seed);
 
   RemapResult Best;
   Best.CostBefore = G.identityCost(C);
   Best.CostAfter = std::numeric_limits<double>::infinity();
 
   unsigned Starts = std::max(1u, O.NumStarts);
-  size_t M = Movable.size();
-
-  // Replay the sequential restart stream up front (start 0 is identity).
-  std::vector<RegId> StartTargets;
-  StartTargets.reserve(static_cast<size_t>(Starts - 1) * M);
-  {
-    Rng Random(O.Seed);
-    for (unsigned Start = 1; Start < Starts; ++Start) {
-      std::vector<RegId> Targets = Movable;
+  // Descents swap movable registers only, so every other register maps
+  // to itself in every start.
+  std::vector<RegId> Perm(N), Targets;
+  for (RegId R = 0; R != N; ++R)
+    Perm[R] = R;
+  while (Best.StartsRun != Starts) {
+    Targets = Movable;
+    if (Best.StartsRun != 0)
       Random.shuffle(Targets);
-      StartTargets.insert(StartTargets.end(), Targets.begin(),
-                          Targets.end());
+    for (size_t I = 0; I != Movable.size(); ++I)
+      Perm[Movable[I]] = Targets[I];
+    ++Best.StartsRun;
+    double Cost = greedyDescent(G, C, Model, Movable, Perm, Best);
+    if (Cost < Best.CostAfter) {
+      Best.CostAfter = Cost;
+      Best.Perm = Perm;
     }
+    if (Cost == 0)
+      break;
   }
-
-  RemapCostModel Model(G, C);
-
-  struct StartOutcome {
-    double Cost = std::numeric_limits<double>::infinity();
-    DescentStats Stats;
-    std::vector<RegId> Perm;
-    bool HasPerm = false;
-    bool Ran = false;
-  };
-  std::vector<StartOutcome> Outcomes(Starts);
-
-  constexpr uint64_t NoZero = std::numeric_limits<uint64_t>::max();
-  std::atomic<uint64_t> FirstZero{NoZero};
-  std::atomic<uint64_t> BestBound{
-      orderedCostBits(std::numeric_limits<double>::infinity())};
-
-  auto RunStart = [&](size_t Start) {
-    // Early cutoff: some start at a lower index already reached the
-    // provable minimum, so the sequential search would never get here.
-    if (Start > FirstZero.load(std::memory_order_relaxed))
-      return;
-    StartOutcome &Out = Outcomes[Start];
-    Out.Ran = true;
-    std::vector<RegId> Perm = Identity;
-    if (Start != 0) {
-      const RegId *T = StartTargets.data() + (Start - 1) * M;
-      for (size_t I = 0; I != M; ++I)
-        Perm[Movable[I]] = T[I];
-    }
-    Out.Cost = greedyDescent(G, C, Model, Movable, Perm, Out.Stats);
-
-    // Shared best-cost bound: CAS-min, then keep the permutation only
-    // while this start is still a candidate winner under the bound.
-    uint64_t MyBits = orderedCostBits(Out.Cost);
-    uint64_t Cur = BestBound.load(std::memory_order_relaxed);
-    while (MyBits < Cur &&
-           !BestBound.compare_exchange_weak(Cur, MyBits,
-                                            std::memory_order_relaxed))
-      ;
-    if (MyBits <= BestBound.load(std::memory_order_relaxed)) {
-      Out.Perm = std::move(Perm);
-      Out.HasPerm = true;
-    }
-    if (Out.Cost == 0) {
-      uint64_t Prev = FirstZero.load(std::memory_order_relaxed);
-      while (Start < Prev &&
-             !FirstZero.compare_exchange_weak(Prev, Start,
-                                              std::memory_order_relaxed))
-        ;
-    }
-  };
-
-  unsigned Jobs = std::min<unsigned>(std::max(1u, O.Jobs), Starts);
-  if (Jobs == 1) {
-    for (size_t Start = 0; Start != Starts; ++Start)
-      RunStart(Start);
-  } else {
-    ThreadPool Pool(Jobs);
-    Pool.parallelFor(Starts, RunStart);
-  }
-
-  // Deterministic reduction. Starts at or below the first zero-cost index
-  // always ran (the cutoff only ever skips higher indices); anything the
-  // pool ran beyond it is speculative work the sequential search would
-  // not have done, so it contributes neither stats nor candidates.
-  uint64_t FZ = FirstZero.load(std::memory_order_relaxed);
-  unsigned Ran = FZ == NoZero ? Starts : static_cast<unsigned>(FZ) + 1;
-  Best.StartsRun = Ran;
-  Best.StartsCutOff = Starts - Ran;
-  size_t Winner = SIZE_MAX;
-  for (unsigned Start = 0; Start != Ran; ++Start) {
-    StartOutcome &Out = Outcomes[Start];
-    assert(Out.Ran && "start below the zero-cost cutoff was skipped");
-    Best.SwapsEvaluated += Out.Stats.Eval;
-    Best.SwapsApplied += Out.Stats.Applied;
-    Best.DeltaArcsVisited += Out.Stats.Arcs;
-    if (Out.Cost < Best.CostAfter) {
-      Best.CostAfter = Out.Cost;
-      Winner = Start;
-    }
-  }
-  assert(Winner != SIZE_MAX && Outcomes[Winner].HasPerm &&
-         "winning start did not keep its permutation");
-  Best.Perm = std::move(Outcomes[Winner].Perm);
+  Best.StartsCutOff = Starts - Best.StartsRun;
 
   size_t FullTerms = Best.SwapsEvaluated * Model.arcCount();
   Best.DeltaRecostSavings = FullTerms > Best.DeltaArcsVisited

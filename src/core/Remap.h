@@ -21,13 +21,13 @@
 /// The greedy search evaluates candidate swaps incrementally against a
 /// `RemapCostModel` — per-register adjacency arc rows precomputed once per
 /// graph, so one candidate costs O(degree(a) + degree(b)) instead of a
-/// full recost — and can shard its restarts across a thread pool
-/// (`RemapOptions::Jobs`). Restart vectors are drawn up front from the
-/// single sequential seed stream and the winner is reduced in
-/// (cost, start-index) order, so the result is bit-identical to the
-/// sequential search at any worker count. The descent trajectory itself
-/// (the order in which `swapDelta` sums its arc terms, and the first-best
-/// tie-break) is pinned by the trajectory golden in
+/// full recost. It runs its restarts one after another on the calling
+/// thread, drawing each restart vector from the one seed stream just
+/// before its descent, so its memory is O(RegN) at any restart count. The
+/// earliest strictly cheaper start wins, and a start that reaches cost
+/// zero ends the search. The descent trajectory itself (the restart
+/// stream, the order in which `swapDelta` sums its arc terms, and the
+/// first-best tie-break) is pinned by the trajectory golden in
 /// `tests/remap_search_test.cpp`; `tests/data/golden_alloc_identity.txt`
 /// pins the remapped output of real functions.
 ///
@@ -62,12 +62,6 @@ struct RemapOptions {
   /// without the paper's post-hoc set_last_reg repair of save/restore
   /// sequences.
   std::vector<RegId> PinnedRegs;
-  /// Worker threads for the multi-start greedy search; 1 runs on the
-  /// calling thread. The result is bit-identical at any value (restart
-  /// vectors come from the one sequential seed stream and the winner is
-  /// reduced by (cost, start-index)), so this is purely a wall-clock
-  /// knob. Ignored by the exhaustive search.
-  unsigned Jobs = 1;
 };
 
 /// Remapping outcome.
@@ -106,8 +100,7 @@ struct RemapResult {
 /// Cross-block weights (`Freq / preds`) are not exact doubles, so the
 /// order in which `swapDelta` sums its terms decides near-ties and with
 /// them every descent trajectory; the remap goldens pin that order.
-/// Instances are immutable after construction and safe to share across
-/// search threads.
+/// Instances are immutable after construction.
 class RemapCostModel {
 public:
   RemapCostModel(const AdjacencyGraph &G, const EncodingConfig &C);

@@ -231,10 +231,9 @@ uint64_t ResultCache::cacheKey(const Function &Src, const PipelineConfig &C) {
     }
   }
 
-  // Every config knob that steers the pipeline. Remap.Jobs is excluded
-  // (bit-identical at any worker count), and so is Coalesce.DiffAware
-  // (the scheme decides it); Metrics/Cache pointers never affect the
-  // result by construction.
+  // Every config knob that steers the pipeline. Coalesce.DiffAware is
+  // excluded (the scheme decides it); Metrics/Cache pointers never affect
+  // the result by construction.
   H.u8(static_cast<uint8_t>(C.S));
   H.u32(C.BaselineK);
   H.u32(C.Enc.RegN);
@@ -255,10 +254,9 @@ uint64_t ResultCache::cacheKey(const Function &Src, const PipelineConfig &C) {
   for (RegId R : C.Remap.PinnedRegs)
     H.u32(R);
 
-  // Portfolio block. Jobs is excluded for the same reason as Remap.Jobs:
-  // the race is bit-identical at any worker count. The arm list hashes in
-  // *resolved* form so an explicit default-arm list and an empty one key
-  // identically. (Appending the mode tag shifts every key vs. older
+  // Portfolio block. Jobs is excluded: the race is bit-identical at any
+  // worker count. The arm list hashes in *resolved* form so an explicit
+  // default-arm list and an empty one key identically. (Appending the mode tag shifts every key vs. older
   // builds; stale disk entries simply never hit, which is always safe.)
   H.u8(static_cast<uint8_t>(C.Portfolio.Mode));
   if (C.Portfolio.Mode != PortfolioMode::Off) {

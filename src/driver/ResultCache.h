@@ -10,13 +10,14 @@
 /// determines a pipeline run bit-for-bit:
 ///
 ///   (cache-format version, canonicalized function IR, scheme,
-///    EncodingConfig, RemapOptions minus Jobs, coalesce/ILP/adaptive knobs)
+///    EncodingConfig, RemapOptions, coalesce/ILP/adaptive knobs, the
+///    portfolio block minus its worker count)
 ///
 /// The function *name* is excluded (content addressing: two identical
-/// bodies share one entry) and so is `RemapOptions::Jobs` — the parallel
-/// remap search is bit-identical at any worker count (PR 4 invariant), so
-/// worker count must not fragment the key space. Metrics/cache pointers
-/// never enter the key by construction.
+/// bodies share one entry) and so is `PortfolioConfig::Jobs` — a race is
+/// bit-identical at any worker count, so worker count must not fragment
+/// the key space. Metrics/cache pointers never enter the key by
+/// construction.
 ///
 /// Two tiers:
 ///

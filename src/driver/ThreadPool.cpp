@@ -16,8 +16,8 @@ thread_local unsigned TlsWorkerId = 0;
 // must run inline (posting a second loop over the active one would
 // deadlock), and the caller thread is worker 0 so its id alone cannot
 // tell "inside my own loop" from "outside any loop". A nested call on a
-// *different* pool is safe and schedules normally — that is how the remap
-// search pool parallelizes from inside a batch-compilation task.
+// *different* pool is safe and schedules normally — that is how a
+// portfolio race pool parallelizes from inside a batch or server task.
 struct DrainFrame {
   const void *Pool;
   DrainFrame *Prev;
@@ -172,7 +172,7 @@ void ThreadPool::parallelFor(size_t N,
   // what detects reentrancy — the caller thread is worker 0, and a nested
   // call from its own drain must not post a second loop over the active
   // one. Loops of *other* pools are not reentrancy: they schedule
-  // normally, so nested pools (remap search inside a batch task) keep
+  // normally, so nested pools (a race pool inside a batch task) keep
   // their parallelism.
   if (NumWorkers == 1 || drainingPool(this)) {
     L.drain();

@@ -71,8 +71,8 @@ public:
   /// first task exception after the loop drains. Reentrant calls from
   /// inside one of *this* pool's task bodies run inline on the
   /// already-claimed worker; calls on a different pool schedule normally,
-  /// so pools nest (e.g. the remap search pool inside a batch-compilation
-  /// task).
+  /// so pools nest (e.g. a portfolio race pool inside a batch-compilation
+  /// or server task).
   void parallelFor(size_t N, const std::function<void(size_t)> &Body);
 
   /// Enqueues a detached task that runs on a worker thread as soon as one

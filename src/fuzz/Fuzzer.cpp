@@ -84,19 +84,14 @@ const ConfigVariant ConfigVariants[] = {
     {"vliw32-dst", vliwDst},     {"vliw32-sp", vliwSp},
 };
 
-/// The scheme axis: the three differential pipelines, the remap pipeline
-/// with its multi-start search sharded over pool workers, a
-/// cache-replay arm that recompiles the heaviest pipeline (coalesce)
-/// through a warm ResultCache, and a csrc arm whose program comes from
-/// the mini-C frontend (its scheme rotates through the three
-/// differential pipelines by seed, see caseForIndex). The parallel
-/// variant returns bit-identical results to sequential remap by
-/// construction — running it under the oracle and the TSan sweep is what
-/// guards that construction; likewise "cached == fresh" is the cache's
-/// construction invariant and the replay arm is its guard.
+/// The scheme axis: the three differential pipelines, a cache-replay arm
+/// that recompiles the heaviest pipeline (coalesce) through a warm
+/// ResultCache, a csrc arm whose program comes from the mini-C frontend
+/// (its scheme rotates through the three differential pipelines by seed,
+/// see caseForIndex), and a portfolio arm. "cached == fresh" is the
+/// cache's construction invariant and the replay arm is its guard.
 struct SchemeVariant {
   Scheme S;
-  unsigned RemapJobs;
   const char *Name;
   bool CacheReplay;
   bool CSrc;
@@ -104,16 +99,15 @@ struct SchemeVariant {
 };
 
 const SchemeVariant SchemeVariants[] = {
-    {Scheme::Remap, 1, "remap", false, false, false},
-    {Scheme::Select, 1, "select", false, false, false},
-    {Scheme::Coalesce, 1, "coalesce", false, false, false},
-    {Scheme::Remap, 3, "remap-parallel", false, false, false},
-    {Scheme::Coalesce, 1, "cache-replay", true, false, false},
-    {Scheme::Remap, 1, "csrc", false, true, false},
+    {Scheme::Remap, "remap", false, false, false},
+    {Scheme::Select, "select", false, false, false},
+    {Scheme::Coalesce, "coalesce", false, false, false},
+    {Scheme::Coalesce, "cache-replay", true, false, false},
+    {Scheme::Remap, "csrc", false, true, false},
     // A two-worker race over the default arms; checkProgram additionally
     // recompiles every arm alone and requires the raced winner to match
     // the sequential best exactly (cost, tie-break, bytes).
-    {Scheme::Coalesce, 1, "portfolio", false, false, true},
+    {Scheme::Coalesce, "portfolio", false, false, true},
 };
 
 constexpr size_t NumSchemeVariants =
@@ -230,6 +224,10 @@ unsigned dra::caseMatrixSize() {
          static_cast<unsigned>(NumSchemeVariants);
 }
 
+unsigned dra::caseVariantCount() {
+  return static_cast<unsigned>(NumSchemeVariants);
+}
+
 const char *dra::caseVariantName(uint64_t Index) {
   return SchemeVariants[Index % NumSchemeVariants].Name;
 }
@@ -240,7 +238,6 @@ FuzzCase dra::caseForIndex(uint64_t BaseSeed, uint64_t Index) {
   FC.Seed = Rng::taskSeed(BaseSeed, Index);
   const SchemeVariant &SV = SchemeVariants[Index % NumSchemeVariants];
   FC.S = SV.S;
-  FC.RemapJobs = SV.RemapJobs;
   FC.CacheReplay = SV.CacheReplay;
   if (SV.Portfolio) {
     FC.Portfolio = true;
@@ -282,7 +279,6 @@ std::optional<std::string> dra::checkProgram(const Function &P,
   // Breadth over depth: a light remap search keeps per-case cost low
   // without weakening any checked invariant.
   Cfg.Remap.NumStarts = 25;
-  Cfg.Remap.Jobs = FC.RemapJobs;
   if (FC.Portfolio) {
     Cfg.Portfolio.Mode = PortfolioMode::Race;
     Cfg.Portfolio.Jobs = FC.PortfolioJobs;
@@ -403,7 +399,6 @@ std::optional<std::string> dra::checkProgram(const Function &P,
     RemapOptions RO;
     RO.NumStarts = 8;
     RO.Seed = FC.Seed ^ 0x5eedf00dULL;
-    RO.Jobs = FC.RemapJobs;
     RemapResult RR = remapFunction(Probe, FC.Enc, RO);
     if (!checkPermutation(RR.Perm, FC.Enc, &Why))
       return "probe remap permutation: " + Why;

@@ -12,9 +12,6 @@
 /// where the config variants cover {lowend, vliw} × {SrcFirst, DstFirst}
 /// × {with, without SpecialRegs} and the scheme axis cycles the three
 /// differential pipelines (remap, select, coalesce) plus a
-/// `remap-parallel` variant — the remap pipeline with the multi-start
-/// search sharded over RemapJobs pool workers, so the lockstep oracle
-/// exercises the parallel incremental search end-to-end — a
 /// `cache-replay` variant that compiles the case cold, then again through
 /// a warm result cache (driver/ResultCache.h), requiring the replayed
 /// function and its encoded stream to be bit-identical to the fresh
@@ -88,11 +85,6 @@ struct FuzzCase {
   ProgramProfile Profile;
   uint64_t StepLimit = 2'000'000;
   InjectFault Fault = InjectFault::None;
-  /// Worker threads for the remap search (the `remap-parallel` scheme
-  /// variant sets 3; everything else runs on the case's own thread).
-  /// Results are bit-identical either way — the variant exists to drive
-  /// the parallel search code path under the oracle and sanitizers.
-  unsigned RemapJobs = 1;
   /// Compile the case twice through a fresh in-memory result cache (cold
   /// miss, then warm hit) and require the replayed result — function and
   /// encoded stream — to match the fresh compile exactly (the
@@ -126,9 +118,12 @@ FuzzCase caseForIndex(uint64_t BaseSeed, uint64_t Index);
 /// through; a sweep of this many consecutive indices covers the matrix.
 unsigned caseMatrixSize();
 
+/// Number of scheme variants; indices 0 .. caseVariantCount() - 1 name
+/// each of them once.
+unsigned caseVariantCount();
+
 /// Name of the scheme-variant slot case \p Index occupies ("remap",
-/// "select", "coalesce", "remap-parallel", "cache-replay", "csrc" or
-/// "portfolio").
+/// "select", "coalesce", "cache-replay", "csrc" or "portfolio").
 /// Pure function of the index (the slot is Index mod the variant count).
 const char *caseVariantName(uint64_t Index);
 

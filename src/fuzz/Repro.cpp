@@ -84,7 +84,6 @@ std::string dra::writeRepro(const FuzzCase &FC, const Function &P) {
       Out << (I ? "," : "") << unsigned(FC.Enc.SpecialRegs[I]);
   Out << "\n";
   Out << "# steplimit: " << FC.StepLimit << "\n";
-  Out << "# remapjobs: " << FC.RemapJobs << "\n";
   Out << "# cachereplay: " << (FC.CacheReplay ? 1 : 0) << "\n";
   Out << "# fault: " << injectFaultName(FC.Fault) << "\n";
   if (FC.Portfolio)
@@ -131,10 +130,6 @@ bool dra::loadRepro(const std::string &Text, FuzzCase &FC, Function &P,
       LS >> FC.Index;
     } else if (Key == "steplimit:") {
       LS >> FC.StepLimit;
-    } else if (Key == "remapjobs:") {
-      LS >> FC.RemapJobs;
-      if (FC.RemapJobs == 0)
-        return fail(Err, "repro: remapjobs must be >= 1");
     } else if (Key == "cachereplay:") {
       unsigned V = 0;
       LS >> V;
@@ -194,7 +189,8 @@ bool dra::loadRepro(const std::string &Text, FuzzCase &FC, Function &P,
       FC.CSource += Line.size() > 8 ? Line.substr(8) : "";
       FC.CSource += "\n";
     }
-    // Any other directive (e.g. "# case:") is informational.
+    // Any other directive (e.g. "# case:", or the "# remapjobs:" that
+    // older harnesses wrote) is informational.
   }
   if (!SawMagic)
     return fail(Err, "repro: missing '# dra-fuzz repro' header");

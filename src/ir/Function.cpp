@@ -38,6 +38,24 @@ void Function::recomputeCFG() {
   }
 }
 
+std::vector<uint8_t> Function::reachableBlocks() const {
+  std::vector<uint8_t> Reachable(Blocks.size(), 0);
+  if (Blocks.empty())
+    return Reachable;
+  std::vector<uint32_t> Work{0};
+  Reachable[0] = 1;
+  while (!Work.empty()) {
+    uint32_t B = Work.back();
+    Work.pop_back();
+    for (uint32_t S : Blocks[B].Succs)
+      if (!Reachable[S]) {
+        Reachable[S] = 1;
+        Work.push_back(S);
+      }
+  }
+  return Reachable;
+}
+
 size_t Function::numInsts() const {
   size_t Total = 0;
   for (const BasicBlock &BB : Blocks)

@@ -63,6 +63,11 @@ struct Function {
   /// Recomputes Succs/Preds of every block from the terminators.
   void recomputeCFG();
 
+  /// Per block, 1 if it is reachable from the entry block along Succs
+  /// edges (as last computed by recomputeCFG), else 0. Empty for a
+  /// function with no blocks.
+  std::vector<uint8_t> reachableBlocks() const;
+
   /// Total number of instructions across all blocks.
   size_t numInsts() const;
 

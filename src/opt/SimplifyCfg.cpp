@@ -12,18 +12,7 @@ namespace {
 /// the number of blocks removed.
 size_t removeUnreachable(Function &F) {
   F.recomputeCFG();
-  std::vector<uint8_t> Reachable(F.Blocks.size(), 0);
-  std::vector<uint32_t> Work{0};
-  Reachable[0] = 1;
-  while (!Work.empty()) {
-    uint32_t B = Work.back();
-    Work.pop_back();
-    for (uint32_t S : F.Blocks[B].Succs)
-      if (!Reachable[S]) {
-        Reachable[S] = 1;
-        Work.push_back(S);
-      }
-  }
+  std::vector<uint8_t> Reachable = F.reachableBlocks();
   std::vector<uint32_t> NewIndex(F.Blocks.size(), NoBlock);
   std::vector<BasicBlock> Kept;
   for (uint32_t B = 0; B != F.Blocks.size(); ++B) {

@@ -1,7 +1,7 @@
 //===- tests/cache_test.cpp - Content-addressed result cache tests --------===//
 //
 // Covers the ResultCache tentpole: key derivation (content addressing,
-// config sensitivity, the deliberate Remap.Jobs exclusion), payload
+// config sensitivity, the deliberate Portfolio.Jobs exclusion), payload
 // round trips, the sharded LRU memory tier, the dra-cache-v1 disk tier's
 // corruption handling (truncate / bit-flip / version-bump must read as
 // quarantined misses, never as errors or wrong results), hit
@@ -86,18 +86,12 @@ PipelineConfig smallConfig(Scheme S = Scheme::Coalesce) {
 // Key derivation
 //===----------------------------------------------------------------------===//
 
-TEST(CacheKey, ContentAddressedIgnoresNameAndRemapJobs) {
+TEST(CacheKey, ContentAddressedIgnoresName) {
   Function A = testProgram(1);
   Function B = A;
   B.Name = "completely-different-name";
   PipelineConfig C = smallConfig();
   EXPECT_EQ(ResultCache::cacheKey(A, C), ResultCache::cacheKey(B, C));
-
-  // Remap.Jobs is a wall-clock knob with bit-identical results; caching
-  // must not fragment on it.
-  PipelineConfig CJ = C;
-  CJ.Remap.Jobs = 8;
-  EXPECT_EQ(ResultCache::cacheKey(A, C), ResultCache::cacheKey(A, CJ));
 }
 
 TEST(CacheKey, SchemeDecidedDiffAwareIsNotPartOfTheKey) {
@@ -166,8 +160,8 @@ TEST(CacheKey, PortfolioConfigJoinsTheKeyButJobsDoesNot) {
   OtherStarts.Portfolio.Arms[2].RemapStarts = 50;
   EXPECT_NE(ResultCache::cacheKey(A, OtherStarts), RaceKey);
 
-  // Jobs is a wall-clock knob with bit-identical results — excluded,
-  // like Remap.Jobs, so a 1-worker and an 8-worker race share entries.
+  // Jobs is a wall-clock knob with bit-identical results — excluded, so
+  // a 1-worker and an 8-worker race share entries.
   PipelineConfig Jobs = Race;
   Jobs.Portfolio.Jobs = 8;
   EXPECT_EQ(ResultCache::cacheKey(A, Jobs), RaceKey);

@@ -142,6 +142,22 @@ TEST(ClassedEncoder, OutOfRangeRepairedWithinClass) {
   EXPECT_TRUE(verifyClassedDecodable(E.Annotated, C, &Err)) << Err;
 }
 
+TEST(ClassedEncoder, ZeroBlockFunctionIsVacuouslyDecodable) {
+  // Regression: verifyClassedDecodable seeded its reachability worklist
+  // with block 0 unconditionally, writing past the end of an empty vector
+  // for a function with no blocks (verifyDecodable had the same defect).
+  // Such a function has no register fields, so it is vacuously decodable.
+  ClassedConfig C = twoClassConfig();
+  Function F;
+  F.NumRegs = 16;
+  std::string Err;
+  EXPECT_TRUE(verifyClassedDecodable(F, C, &Err)) << Err;
+  ClassedEncodedFunction E = encodeClassedFunction(F, C);
+  EXPECT_TRUE(E.Annotated.Blocks.empty());
+  EXPECT_TRUE(E.Codes.empty());
+  EXPECT_TRUE(verifyClassedDecodable(E.Annotated, C, &Err)) << Err;
+}
+
 /// Round-trip property across random allocated programs.
 class ClassedRoundTrip : public ::testing::TestWithParam<int> {};
 

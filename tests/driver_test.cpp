@@ -144,7 +144,7 @@ TEST(ThreadPool, ReentrantParallelForRunsInline) {
 
 TEST(ThreadPool, DistinctPoolsNestWithoutInlining) {
   // Reentrancy detection is per pool: a nested loop on a *different*
-  // pool (the remap search pool inside a batch task) schedules normally
+  // pool (a portfolio race pool inside a batch task) schedules normally
   // and keeps its parallelism instead of collapsing to the caller
   // thread. Two nested iterations observing each other in flight proves
   // the nested pool really ran them concurrently — impossible if the

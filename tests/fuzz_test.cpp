@@ -151,7 +151,6 @@ TEST(Minimizer, ShrinksUnderSyntheticPredicate) {
 TEST(FuzzCase, MatrixCoversSchemesAndConfigs) {
   std::set<std::string> Names;
   std::set<Scheme> Schemes;
-  unsigned ParallelCases = 0;
   unsigned CacheReplayCases = 0;
   unsigned CSrcCases = 0;
   unsigned PortfolioCases = 0;
@@ -159,18 +158,11 @@ TEST(FuzzCase, MatrixCoversSchemesAndConfigs) {
     FuzzCase FC = caseForIndex(7, I);
     Names.insert(FC.name());
     Schemes.insert(FC.S);
-    EXPECT_GE(FC.RemapJobs, 1u);
-    if (FC.RemapJobs > 1) {
-      ++ParallelCases;
-      // The parallel variant is the remap pipeline on pool workers and
-      // is named distinctly so repros identify the search path.
-      EXPECT_EQ(FC.S, Scheme::Remap);
-      EXPECT_NE(FC.name().find("remap-parallel"), std::string::npos);
-    }
     if (FC.CacheReplay) {
       ++CacheReplayCases;
       // The cache-replay variant recompiles the heaviest pipeline through
-      // a warm ResultCache; named distinctly for the same reason.
+      // a warm ResultCache and is named distinctly so repros identify the
+      // replay path.
       EXPECT_EQ(FC.S, Scheme::Coalesce);
       EXPECT_NE(FC.name().find("cache-replay"), std::string::npos);
     }
@@ -190,14 +182,13 @@ TEST(FuzzCase, MatrixCoversSchemesAndConfigs) {
       EXPECT_NE(FC.name().find("portfolio"), std::string::npos);
     }
   }
-  // 6 config variants x 7 scheme variants (remap, select, coalesce,
-  // remap-parallel, cache-replay, csrc, portfolio); one remap-parallel,
-  // one cache-replay, one csrc and one portfolio case per config
-  // variant.
-  EXPECT_EQ(caseMatrixSize(), 42u);
+  // 6 config variants x 6 scheme variants (remap, select, coalesce,
+  // cache-replay, csrc, portfolio); one cache-replay, one csrc and one
+  // portfolio case per config variant.
+  EXPECT_EQ(caseVariantCount(), 6u);
+  EXPECT_EQ(caseMatrixSize(), 36u);
   EXPECT_EQ(Names.size(), caseMatrixSize());
   EXPECT_EQ(Schemes.size(), 3u);
-  EXPECT_EQ(ParallelCases, 6u);
   EXPECT_EQ(CacheReplayCases, 6u);
   EXPECT_EQ(CSrcCases, 6u);
   EXPECT_EQ(PortfolioCases, 6u);
@@ -206,12 +197,11 @@ TEST(FuzzCase, MatrixCoversSchemesAndConfigs) {
 TEST(FuzzCase, VariantNameIsPureInIndex) {
   // caseVariantName drives --only filtering: it must agree with the
   // variant slot caseForIndex assigns, for any index.
-  static const char *Expected[7] = {"remap",        "select",
-                                    "coalesce",     "remap-parallel",
-                                    "cache-replay", "csrc",
-                                    "portfolio"};
+  static const char *Expected[6] = {"remap",        "select",
+                                    "coalesce",     "cache-replay",
+                                    "csrc",         "portfolio"};
   for (uint64_t I = 0; I != 15; ++I) {
-    EXPECT_STREQ(caseVariantName(I), Expected[I % 7]) << "index " << I;
+    EXPECT_STREQ(caseVariantName(I), Expected[I % 6]) << "index " << I;
     FuzzCase FC = caseForIndex(5, I);
     EXPECT_NE(FC.name().find(caseVariantName(I)), std::string::npos)
         << FC.name();
@@ -229,11 +219,11 @@ TEST(FuzzCase, DeterministicDerivation) {
 }
 
 TEST(Repro, RoundTripsCaseAndProgram) {
-  // Index 24 is a remap-parallel case (24 % 7 == 3), so RemapJobs
-  // round-trips a non-default value (a dropped directive would silently
-  // load as 1).
+  // Index 24 is a remap case under config variant 4 (24 / 6 == 4:
+  // vliw32-dst), so the enc directive round-trips a non-default order.
   FuzzCase FC = caseForIndex(9, 24);
-  ASSERT_GT(FC.RemapJobs, 1u);
+  ASSERT_EQ(FC.S, Scheme::Remap);
+  ASSERT_EQ(FC.Enc.Order, AccessOrder::DstFirst);
   FC.Fault = InjectFault::CorruptFieldCode;
   Function P = generateProgram("rt", FC.Profile);
 
@@ -247,7 +237,6 @@ TEST(Repro, RoundTripsCaseAndProgram) {
   EXPECT_EQ(Loaded.S, FC.S);
   EXPECT_EQ(Loaded.StepLimit, FC.StepLimit);
   EXPECT_EQ(Loaded.Fault, FC.Fault);
-  EXPECT_EQ(Loaded.RemapJobs, FC.RemapJobs);
   EXPECT_EQ(Loaded.Enc.RegN, FC.Enc.RegN);
   EXPECT_EQ(Loaded.Enc.DiffN, FC.Enc.DiffN);
   EXPECT_EQ(Loaded.Enc.Order, FC.Enc.Order);
@@ -256,10 +245,10 @@ TEST(Repro, RoundTripsCaseAndProgram) {
 }
 
 TEST(Repro, RoundTripsCacheReplayFlag) {
-  // Index 25 is a cache-replay case (25 % 7 == 4): the flag must survive
+  // Index 27 is a cache-replay case (27 % 6 == 3): the flag must survive
   // the directive round trip, or a replayed repro would silently skip the
   // warm-cache comparison.
-  FuzzCase FC = caseForIndex(9, 25);
+  FuzzCase FC = caseForIndex(9, 27);
   ASSERT_TRUE(FC.CacheReplay);
   Function P = generateProgram("cr", FC.Profile);
   std::string Text = writeRepro(FC, P);
@@ -279,11 +268,11 @@ TEST(Repro, RoundTripsCacheReplayFlag) {
 }
 
 TEST(Repro, RoundTripsCSource) {
-  // Index 26 is a csrc case (26 % 7 == 5): the mini-C source is the
+  // Index 28 is a csrc case (28 % 6 == 4): the mini-C source is the
   // ground truth of the case, so every line must survive the `# csrc:`
   // directive round trip byte for byte — including indentation, which a
   // token-based reader would eat.
-  FuzzCase FC = caseForIndex(9, 26);
+  FuzzCase FC = caseForIndex(9, 28);
   ASSERT_TRUE(FC.CSrc);
   ASSERT_FALSE(FC.CSource.empty());
   CcDiag D;
@@ -313,10 +302,10 @@ TEST(Repro, RoundTripsCSource) {
 }
 
 TEST(Repro, RoundTripsPortfolioDirective) {
-  // Index 27 is a portfolio case (27 % 7 == 6): the race config must
+  // Index 29 is a portfolio case (29 % 6 == 5): the race config must
   // survive the `# portfolio:` directive round trip, or a replayed repro
   // would silently degrade to a plain coalesce compile.
-  FuzzCase FC = caseForIndex(9, 27);
+  FuzzCase FC = caseForIndex(9, 29);
   ASSERT_TRUE(FC.Portfolio);
   ASSERT_EQ(FC.PortfolioJobs, 2u);
   Function P = generateProgram("pf", FC.Profile);
@@ -397,12 +386,14 @@ TEST(Repro, RejectsTruncatedHeader) {
 
 TEST(Repro, IgnoresUnknownDirectives) {
   // Unknown directives are informational by contract (forward
-  // compatibility): a repro from a newer harness still loads.
+  // compatibility): a repro from a newer harness still loads, and so does
+  // one from an older harness that wrote the retired remapjobs directive.
   FuzzCase FC = caseForIndex(3, 2);
   Function P = generateProgram("ud", FC.Profile);
   std::string Text = writeRepro(FC, P);
   size_t AfterMagic = Text.find('\n') + 1;
-  Text.insert(AfterMagic, "# flux-capacitor: 88\n# case: renamed\n");
+  Text.insert(AfterMagic,
+              "# flux-capacitor: 88\n# case: renamed\n# remapjobs: 3\n");
   FuzzCase Loaded;
   Function Q;
   std::string Err;
@@ -434,10 +425,6 @@ TEST(Repro, RejectsMalformedDirectiveValues) {
   EXPECT_FALSE(loadRepro(std::string(Magic) + "# scheme: turbo\nret r0\n",
                          FC, P, &Err));
   EXPECT_NE(Err.find("scheme"), std::string::npos) << Err;
-  // Zero remap jobs.
-  EXPECT_FALSE(loadRepro(std::string(Magic) + "# remapjobs: 0\nret r0\n",
-                         FC, P, &Err));
-  EXPECT_NE(Err.find("remapjobs"), std::string::npos) << Err;
   // Out-of-range cache-replay flag.
   EXPECT_FALSE(loadRepro(std::string(Magic) + "# cachereplay: 2\nret r0\n",
                          FC, P, &Err));
@@ -455,10 +442,10 @@ TEST(Repro, RejectsMalformedDirectiveValues) {
 }
 
 TEST(Harness, CleanCasesPass) {
-  // The first seven sweep cases (one per scheme variant, including
+  // The first six sweep cases (one per scheme variant, including
   // cache-replay, csrc and portfolio) must pass end to end — the same
   // guarantee the CI smoke job checks at larger scale.
-  for (uint64_t I = 0; I != 7; ++I) {
+  for (uint64_t I = 0; I != caseVariantCount(); ++I) {
     FuzzCase FC = caseForIndex(1, I);
     FuzzCaseResult R = runFuzzCase(FC, /*MinimizeBudget=*/0);
     EXPECT_TRUE(R.Ok) << FC.name() << ": " << R.Detail;
@@ -536,7 +523,7 @@ TEST(Harness, PortfolioInjectedFaultIsCaught) {
   // Mutation test for the portfolio axis: the raced winner goes through
   // the same encode/decode oracle, so a corrupted encoder must still be
   // caught when the compile came out of a race.
-  FuzzCase FC = caseForIndex(1, 6); // 6 % 7 == 6: portfolio.
+  FuzzCase FC = caseForIndex(1, 5); // 5 % 6 == 5: portfolio.
   ASSERT_TRUE(FC.Portfolio);
   FC.Fault = InjectFault::CorruptFieldCode;
   FuzzCaseResult R = runFuzzCase(FC, /*MinimizeBudget=*/0);
@@ -548,7 +535,7 @@ TEST(Harness, CSrcInjectedFaultIsCaught) {
   // Mutation test for the csrc axis: the frontend-shaped program must
   // still catch a corrupted encoder, or the new variant isn't guarding
   // anything ProgramGen doesn't already cover.
-  FuzzCase FC = caseForIndex(1, 5); // 5 % 7 == 5: csrc.
+  FuzzCase FC = caseForIndex(1, 4); // 4 % 6 == 4: csrc.
   ASSERT_TRUE(FC.CSrc);
   FC.Fault = InjectFault::CorruptFieldCode;
   FuzzCaseResult R = runFuzzCase(FC);

@@ -66,11 +66,6 @@ const char *UsageText =
     "  --diffn=N          difference codes (default 8)\n"
     "  --diffw=N          field width in bits (default 3)\n"
     "  --remap-starts=N   remapping restarts (default 200)\n"
-    "  --remap-jobs=N     shard each function's multi-start remap search\n"
-    "                     over N nested pool workers (default 1; results\n"
-    "                     are bit-identical at any value; prefer --jobs\n"
-    "                     for batch throughput, --remap-jobs for latency\n"
-    "                     of few large functions)\n"
     "  --adaptive         Section 8.2 selective enabling: fall back to the\n"
     "                     baseline where differential encoding does not\n"
     "                     pay (marked in the file's row)\n"
@@ -128,7 +123,6 @@ struct Options {
   unsigned DiffN = 8;
   unsigned DiffW = 3;
   unsigned RemapStarts = 200;
-  unsigned RemapJobs = 1;
   unsigned Jobs = 0;
   bool PerTaskSeeds = false;
   bool Adaptive = false;
@@ -179,13 +173,6 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
     } else if (const char *V = Value("--remap-starts=")) {
       if (!cli::parseUnsigned("--remap-starts", V, O.RemapStarts))
         return false;
-    } else if (const char *V = Value("--remap-jobs=")) {
-      if (!cli::parseUnsigned("--remap-jobs", V, O.RemapJobs))
-        return false;
-      if (O.RemapJobs == 0) {
-        std::fprintf(stderr, "error: --remap-jobs must be >= 1\n");
-        return false;
-      }
     } else if (const char *V = Value("--jobs=")) {
       if (!cli::parseUnsigned("--jobs", V, O.Jobs))
         return false;
@@ -457,7 +444,6 @@ int main(int Argc, char **Argv) {
   Config.Enc.DiffN = O.DiffN;
   Config.Enc.DiffW = O.DiffW;
   Config.Remap.NumStarts = O.RemapStarts;
-  Config.Remap.Jobs = O.RemapJobs;
   Config.AdaptiveEnable = O.Adaptive;
   if (!Config.Enc.valid()) {
     std::fprintf(stderr, "error: invalid encoding configuration "

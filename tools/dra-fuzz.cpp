@@ -31,15 +31,19 @@ using namespace dra;
 
 namespace {
 
+/// Sweep size when --seeds is not given: three passes over the matrix.
+unsigned defaultSeeds() { return 3 * caseMatrixSize(); }
+
+/// A printf format: printUsage fills in the default sweep size, the
+/// matrix size and the --only choices from the case matrix.
 const char *UsageText =
     "usage: dra-fuzz [options]\n"
     "       dra-fuzz --repro=FILE\n"
     "\n"
     "Differential-testing harness: generates seeded random programs and\n"
     "checks, for every scheme variant (remap, select, coalesce, plus\n"
-    "remap-parallel — the remap pipeline with the multi-start search on\n"
-    "pool workers — cache-replay, which recompiles through a warm result\n"
-    "cache and requires a bit-identical replay, csrc, which compiles a\n"
+    "cache-replay, which recompiles through a warm result cache and\n"
+    "requires a bit-identical replay, csrc, which compiles a\n"
     "seeded random mini-C source file through the frontend and fuzzes\n"
     "the lowered function, and portfolio, which races the scheme\n"
     "portfolio and checks the winner against every arm run alone) and\n"
@@ -55,14 +59,13 @@ const char *UsageText =
     "same program and configuration at any --jobs and in any chunking.\n"
     "\n"
     "options:\n"
-    "  --seeds=N          cases to run (default 90; a multiple of the\n"
-    "                     42-case matrix, 7 scheme variants x 6 configs,\n"
-    "                     covers it evenly)\n"
-    "  --only=VARIANT     run only case slots of one scheme variant\n"
-    "                     (remap|select|coalesce|remap-parallel|\n"
-    "                     cache-replay|csrc|portfolio); indices are taken\n"
-    "                     from the full matrix, so each case is identical\n"
-    "                     to its unfiltered run\n"
+    "  --seeds=N          cases to run (default %u, three passes over the\n"
+    "                     %u-case matrix; a multiple of it covers the\n"
+    "                     matrix evenly)\n"
+    "  --only=VARIANT     run only case slots of one scheme variant:\n"
+    "                     %s;\n"
+    "                     indices are taken from the full matrix, so each\n"
+    "                     case is identical to its unfiltered run\n"
     "  --seed-start=N     first case index (default 0); resume a sweep\n"
     "                     with --seed-start=<cases already run>\n"
     "  --base-seed=N      base RNG seed for the whole sweep (default 1)\n"
@@ -88,8 +91,15 @@ const char *UsageText =
     "fails), 1 when any case fails (or a replayed repro still fails), 2 on\n"
     "a command-line error.\n";
 
+void printUsage() {
+  std::string Variants;
+  for (unsigned V = 0; V != caseVariantCount(); ++V)
+    Variants += std::string(V ? "|" : "") + caseVariantName(V);
+  std::printf(UsageText, defaultSeeds(), caseMatrixSize(), Variants.c_str());
+}
+
 struct Options {
-  uint64_t Seeds = 90;
+  uint64_t Seeds = defaultSeeds();
   uint64_t SeedStart = 0;
   uint64_t BaseSeed = 1;
   unsigned Jobs = 0;
@@ -215,7 +225,7 @@ int main(int Argc, char **Argv) {
   if (!parseArgs(Argc, Argv, O))
     return 2;
   if (O.Help) {
-    std::fputs(UsageText, stdout);
+    printUsage();
     return 0;
   }
   if (!O.ReproFile.empty())
@@ -250,7 +260,7 @@ int main(int Argc, char **Argv) {
       CaseIndices.push_back(O.SeedStart + I);
   } else {
     bool Known = false;
-    for (uint64_t V = 0; V != caseMatrixSize(); ++V)
+    for (unsigned V = 0; V != caseVariantCount(); ++V)
       Known = Known || O.Only == caseVariantName(V);
     if (!Known) {
       std::fprintf(stderr, "error: unknown variant '%s' for --only\n",
