@@ -3,7 +3,6 @@
 #include "core/BinaryEmitter.h"
 
 #include "adt/BitStream.h"
-#include "core/AccessSequence.h"
 
 #include <algorithm>
 
@@ -35,13 +34,18 @@ bool hasImmediate(Opcode Op) {
   }
 }
 
-unsigned numRegFieldsOf(Opcode Op) {
-  Instruction Probe;
-  Probe.Op = Op;
-  Probe.Dst = 0;
-  Probe.Src1 = 0;
-  Probe.Src2 = 0;
-  return Probe.numRegFields();
+/// A fresh instruction of opcode \p Op with r0 in each of its register
+/// fields and NoReg in the slots it does not use, so numRegFields()
+/// counts its fields and setRegField can fill any of them.
+Instruction blankOf(Opcode Op) {
+  Instruction I;
+  I.Op = Op;
+  I.Dst = 0; // def() reads Dst only for opcodes that define a register.
+  if (I.def() == NoReg)
+    I.Dst = NoReg;
+  for (unsigned Field = 0; Field != I.numRegFields(); ++Field)
+    I.setRegField(Field, 0);
+  return I;
 }
 
 uint64_t zigzag(int64_t V) {
@@ -83,7 +87,8 @@ unsigned directFieldWidth(unsigned NumRegs) {
 }
 
 /// Emits everything but the register-field payload, which the caller
-/// supplies through \p WriteFields(W, Inst).
+/// supplies through \p WriteFields(W, Inst, Block, InstIdx) (a
+/// set_last_reg has no register fields).
 template <typename FieldsFn>
 BinaryModule emitCommon(const Function &F, unsigned FieldWidth,
                         FieldsFn WriteFields) {
@@ -94,17 +99,18 @@ BinaryModule emitCommon(const Function &F, unsigned FieldWidth,
   W.write(F.NumRegs, 16);
   W.write(F.MemWords, 16);
   W.write(F.NumSpillSlots, 16);
-  for (const BasicBlock &BB : F.Blocks) {
+  for (uint32_t B = 0; B != F.Blocks.size(); ++B) {
+    const BasicBlock &BB = F.Blocks[B];
     W.write(BB.Insts.size(), 16);
-    for (const Instruction &I : BB.Insts) {
+    for (uint32_t Idx = 0; Idx != BB.Insts.size(); ++Idx) {
+      const Instruction &I = BB.Insts[Idx];
       W.write(static_cast<uint64_t>(I.Op), OpcodeBits);
       if (I.Op == Opcode::SetLastReg) {
         W.write(static_cast<uint64_t>(I.Imm), SlrValueBits);
         W.write(I.Aux, SlrDelayBits);
-        continue;
       }
       size_t Before = W.bitCount();
-      WriteFields(W, I);
+      WriteFields(W, I, B, Idx);
       M.RegFieldBits += W.bitCount() - Before;
       if (hasImmediate(I.Op))
         writeVarint(W, I.Imm);
@@ -117,14 +123,14 @@ BinaryModule emitCommon(const Function &F, unsigned FieldWidth,
     }
   }
   M.BitCount = W.bitCount();
-  BitWriter Padded = std::move(W);
-  Padded.alignToByte();
-  M.Bytes = Padded.bytes();
+  W.alignToByte();
+  M.Bytes = W.bytes();
   return M;
 }
 
-/// Parses the common layout; \p ReadFields(R, Inst) consumes the register
-/// fields and fills the instruction (or records codes).
+/// Parses the common layout; \p ReadFields(R, Inst, Block) consumes the
+/// register fields of each instruction and fills them in (or records
+/// their codes).
 template <typename FieldsFn>
 std::optional<Function> decodeCommon(const BinaryModule &M,
                                      FieldsFn ReadFields,
@@ -142,7 +148,7 @@ std::optional<Function> decodeCommon(const BinaryModule &M,
   F.NumRegs = static_cast<uint32_t>(R.read(16));
   F.MemWords = static_cast<uint32_t>(R.read(16));
   F.NumSpillSlots = static_cast<uint32_t>(R.read(16));
-  for (size_t B = 0; B != NumBlocks; ++B) {
+  for (uint32_t B = 0; B != NumBlocks; ++B) {
     F.makeBlock();
     if (R.exhausted(16))
       return Fail("truncated block header");
@@ -150,25 +156,26 @@ std::optional<Function> decodeCommon(const BinaryModule &M,
     for (size_t IIdx = 0; IIdx != NumInsts; ++IIdx) {
       if (R.exhausted(OpcodeBits))
         return Fail("truncated instruction");
-      Instruction I;
       uint64_t Op = R.read(OpcodeBits);
       if (Op > static_cast<uint64_t>(Opcode::SetLastReg))
         return Fail("invalid opcode");
-      I.Op = static_cast<Opcode>(Op);
+      Instruction I = blankOf(static_cast<Opcode>(Op));
       if (I.Op == Opcode::SetLastReg) {
         I.Imm = static_cast<int64_t>(R.read(SlrValueBits));
         I.Aux = static_cast<uint32_t>(R.read(SlrDelayBits));
-      } else {
-        ReadFields(R, I);
-        if (hasImmediate(I.Op))
-          I.Imm = readVarint(R);
-        if (I.Op == Opcode::Br) {
-          I.Target0 = static_cast<uint32_t>(R.read(BlockRefBits));
-          I.Target1 = static_cast<uint32_t>(R.read(BlockRefBits));
-        } else if (I.Op == Opcode::Jmp) {
-          I.Target0 = static_cast<uint32_t>(R.read(BlockRefBits));
-        }
       }
+      ReadFields(R, I, B);
+      if (hasImmediate(I.Op))
+        I.Imm = readVarint(R);
+      // recomputeCFG indexes blocks by these, so check them first.
+      auto ReadTarget = [&](uint32_t &Target) {
+        Target = static_cast<uint32_t>(R.read(BlockRefBits));
+        return Target < NumBlocks;
+      };
+      if ((I.Op == Opcode::Br &&
+           !(ReadTarget(I.Target0) && ReadTarget(I.Target1))) ||
+          (I.Op == Opcode::Jmp && !ReadTarget(I.Target0)))
+        return Fail("branch target out of range");
       F.Blocks[B].Insts.push_back(I);
     }
   }
@@ -180,194 +187,60 @@ std::optional<Function> decodeCommon(const BinaryModule &M,
 
 BinaryModule dra::emitDirect(const Function &F) {
   unsigned Width = directFieldWidth(std::max(1u, F.NumRegs));
-  return emitCommon(F, Width, [&](BitWriter &W, const Instruction &I) {
-    for (unsigned Field = 0; Field != I.numRegFields(); ++Field)
-      W.write(I.regField(Field), Width);
-  });
+  return emitCommon(F, Width,
+                    [&](BitWriter &W, const Instruction &I, uint32_t,
+                        uint32_t) {
+                      for (unsigned Field = 0; Field != I.numRegFields();
+                           ++Field)
+                        W.write(I.regField(Field), Width);
+                    });
 }
 
 std::optional<Function> dra::decodeDirect(const BinaryModule &M,
                                           std::string *Err) {
   return decodeCommon(
       M,
-      [&](BitReader &R, Instruction &I) {
-        for (unsigned Field = 0; Field != numRegFieldsOf(I.Op); ++Field)
-          I.setRegField(Field,
-                        static_cast<RegId>(R.read(M.FieldWidth)));
+      [&](BitReader &R, Instruction &I, uint32_t) {
+        for (unsigned Field = 0; Field != I.numRegFields(); ++Field)
+          I.setRegField(Field, static_cast<RegId>(R.read(M.FieldWidth)));
       },
       Err);
 }
 
 BinaryModule dra::emitDifferential(const EncodedFunction &E,
                                    const EncodingConfig &C) {
-  // Codes are stored in access order (the hardware decode order); the
-  // emission loop walks (block, instruction) indices explicitly to stay in
-  // lockstep with E.Codes.
-  const Function &F = E.Annotated;
-  BinaryModule M;
-  BitWriter W;
-  W.write(F.Blocks.size(), 16);
-  W.write(F.NumRegs, 16);
-  W.write(F.MemWords, 16);
-  W.write(F.NumSpillSlots, 16);
-  for (uint32_t B = 0; B != F.Blocks.size(); ++B) {
-    const BasicBlock &BB = F.Blocks[B];
-    W.write(BB.Insts.size(), 16);
-    for (uint32_t Idx = 0; Idx != BB.Insts.size(); ++Idx) {
-      const Instruction &I = BB.Insts[Idx];
-      W.write(static_cast<uint64_t>(I.Op), OpcodeBits);
-      if (I.Op == Opcode::SetLastReg) {
-        W.write(static_cast<uint64_t>(I.Imm), SlrValueBits);
-        W.write(I.Aux, SlrDelayBits);
-        continue;
-      }
-      for (uint8_t Code : E.Codes[B][Idx]) {
-        W.write(Code, C.DiffW);
-        M.RegFieldBits += C.DiffW;
-      }
-      if (hasImmediate(I.Op))
-        writeVarint(W, I.Imm);
-      if (I.Op == Opcode::Br) {
-        W.write(I.Target0, BlockRefBits);
-        W.write(I.Target1, BlockRefBits);
-      } else if (I.Op == Opcode::Jmp) {
-        W.write(I.Target0, BlockRefBits);
-      }
-    }
-  }
-  M.BitCount = W.bitCount();
-  W.alignToByte();
-  M.Bytes = W.bytes();
-  M.FieldWidth = C.DiffW;
-  return M;
+  // Codes are stored in access order (the hardware decode order).
+  return emitCommon(E.Annotated, C.DiffW,
+                    [&](BitWriter &W, const Instruction &, uint32_t B,
+                        uint32_t Idx) {
+                      for (uint8_t Code : E.Codes[B][Idx])
+                        W.write(Code, C.DiffW);
+                    });
 }
 
 std::optional<EncodedFunction>
 dra::decodeDifferential(const BinaryModule &M, const EncodingConfig &C,
                         std::string *Err) {
-  // First parse the structure, collecting raw codes in parse order.
-  std::vector<std::vector<std::vector<uint8_t>>> Codes;
-  std::vector<std::vector<uint8_t>> PendingCodes;
+  // Parse the skeleton, collecting each instruction's codes (a
+  // set_last_reg has none) and leaving r0 in its register fields.
+  EncodedFunction Out;
   std::optional<Function> Skeleton = decodeCommon(
       M,
-      [&](BitReader &R, Instruction &I) {
-        std::vector<uint8_t> FieldCodes;
-        for (unsigned Field = 0; Field != numRegFieldsOf(I.Op); ++Field)
+      [&](BitReader &R, Instruction &I, uint32_t B) {
+        if (Out.Codes.size() <= B)
+          Out.Codes.resize(B + 1);
+        std::vector<uint8_t> &FieldCodes = Out.Codes[B].emplace_back();
+        for (unsigned Field = 0; Field != I.numRegFields(); ++Field)
           FieldCodes.push_back(static_cast<uint8_t>(R.read(C.DiffW)));
-        // Temporarily stash the codes; block/instruction indices are
-        // recovered below by re-walking the skeleton in the same order.
-        PendingCodes.push_back(std::move(FieldCodes));
-        // Placeholder registers (decoded for real afterwards).
-        for (unsigned Field = 0; Field != numRegFieldsOf(I.Op); ++Field)
-          I.setRegField(Field, 0);
       },
       Err);
   if (!Skeleton)
     return std::nullopt;
-  Function &F = *Skeleton;
+  Out.Annotated = std::move(*Skeleton);
+  Out.Codes.resize(Out.Annotated.Blocks.size());
 
-  // Distribute the pending code lists back onto (block, inst) slots in
-  // parse order.
-  Codes.resize(F.Blocks.size());
-  size_t Next = 0;
-  for (uint32_t B = 0; B != F.Blocks.size(); ++B) {
-    for (const Instruction &I : F.Blocks[B].Insts) {
-      if (I.Op == Opcode::SetLastReg) {
-        Codes[B].emplace_back();
-        continue;
-      }
-      Codes[B].push_back(PendingCodes[Next++]);
-    }
-  }
-  PendingCodes.clear();
-
-  // Now decode absolute register numbers the way the hardware would:
-  // reverse-postorder over the CFG; a block's entry state is its head
-  // set_last_reg, or the exit state of any already-decoded predecessor
-  // (the encoder guarantees all predecessors agree).
-  std::vector<int> ExitOf(F.Blocks.size(), -1);
-  std::vector<uint8_t> Decoded(F.Blocks.size(), 0);
-
-  // Reverse postorder.
-  std::vector<uint32_t> Order;
-  {
-    std::vector<uint8_t> State(F.Blocks.size(), 0);
-    std::vector<std::pair<uint32_t, size_t>> Stack{{0u, 0u}};
-    State[0] = 1;
-    std::vector<uint32_t> Post;
-    while (!Stack.empty()) {
-      auto &[B, NextSucc] = Stack.back();
-      const auto &Succs = F.Blocks[B].Succs;
-      if (NextSucc < Succs.size()) {
-        uint32_t S = Succs[NextSucc++];
-        if (!State[S]) {
-          State[S] = 1;
-          Stack.push_back({S, 0});
-        }
-        continue;
-      }
-      Post.push_back(B);
-      Stack.pop_back();
-    }
-    Order.assign(Post.rbegin(), Post.rend());
-  }
-
-  for (uint32_t B : Order) {
-    BasicBlock &BB = F.Blocks[B];
-    int Last = -1;
-    if (!BB.Insts.empty() && BB.Insts.front().Op == Opcode::SetLastReg &&
-        BB.Insts.front().Aux == 0) {
-      Last = static_cast<int>(BB.Insts.front().Imm);
-    } else if (B == 0) {
-      Last = 0; // The n0 = 0 convention.
-    } else {
-      for (uint32_t Pred : BB.Preds)
-        if (Decoded[Pred] && ExitOf[Pred] >= 0) {
-          Last = ExitOf[Pred];
-          break;
-        }
-      if (Last < 0)
-        Last = 0; // Unreachable or degenerate; harmless.
-    }
-
-    std::vector<std::pair<uint32_t, RegId>> PendingSlr;
-    for (uint32_t Idx = 0; Idx != BB.Insts.size(); ++Idx) {
-      Instruction &I = BB.Insts[Idx];
-      if (I.Op == Opcode::SetLastReg) {
-        if (I.Aux == 0)
-          Last = static_cast<int>(I.Imm);
-        else
-          PendingSlr.push_back({I.Aux, static_cast<RegId>(I.Imm)});
-        continue;
-      }
-      std::vector<unsigned> Fields = fieldOrder(I, C.Order);
-      for (unsigned Pos = 0; Pos != Fields.size(); ++Pos) {
-        for (const auto &[Delay, Value] : PendingSlr)
-          if (Delay == Pos)
-            Last = static_cast<int>(Value);
-        unsigned Code = Codes[B][Idx][Pos];
-        RegId Reg;
-        if (Code >= C.DiffN) {
-          if (Code - C.DiffN >= C.SpecialRegs.size()) {
-            if (Err)
-              *Err = "invalid special code";
-            return std::nullopt;
-          }
-          Reg = C.SpecialRegs[Code - C.DiffN];
-        } else {
-          Reg = (static_cast<RegId>(Last) + Code) % C.RegN;
-          Last = static_cast<int>(Reg);
-        }
-        I.setRegField(Fields[Pos], Reg);
-      }
-      PendingSlr.clear();
-    }
-    ExitOf[B] = Last;
-    Decoded[B] = 1;
-  }
-
-  EncodedFunction Out;
-  Out.Annotated = std::move(F);
-  Out.Codes = std::move(Codes);
+  // Then decode the registers the way the hardware would.
+  if (!decodeRegisters(Out.Annotated, Out.Codes, RegPartition(C), Err))
+    return std::nullopt;
   return Out;
 }

@@ -24,8 +24,8 @@
 ///
 /// Direct mode stores absolute register numbers in the fields; the
 /// differential mode stores the encoder's difference codes, and decoding
-/// recovers the absolute numbers through the shared decode-state dataflow
-/// (decodeFunction), exactly like the modified hardware would.
+/// recovers the absolute numbers from them with the encoder's own decoder
+/// (decodeRegisters), exactly like the modified hardware would.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,9 +65,10 @@ BinaryModule emitDifferential(const EncodedFunction &E,
 std::optional<Function> decodeDirect(const BinaryModule &M,
                                      std::string *Err = nullptr);
 
-/// Decodes a differential-mode module back to the (Annotated, Codes) pair;
-/// pass the result through decodeFunction() to recover absolute register
-/// numbers.
+/// Decodes a differential-mode module back to the (Annotated, Codes) pair,
+/// with every register field of Annotated already decoded from the codes.
+/// Returns std::nullopt (with a diagnostic) on malformed input, including
+/// codes no decode state explains.
 std::optional<EncodedFunction>
 decodeDifferential(const BinaryModule &M, const EncodingConfig &C,
                    std::string *Err = nullptr);

@@ -8,12 +8,13 @@
 /// Section 9.1: when registers form multiple classes (integer, floating
 /// point, ...), "the access sequence only contains registers belonging to
 /// the same register class" and "during decoding, we need a separate
-/// last_reg register for each class". This module generalizes the
-/// single-class encoder accordingly: every register belongs to exactly one
-/// class, each class numbers its members locally (differences are computed
-/// modulo the class size), and the decoder keeps one last_reg per class.
-/// A set_last_reg's class is implied by its value, so no new instruction
-/// bits are needed.
+/// last_reg register for each class". This module states such a partition
+/// (ClassedConfig) and runs the encoder engine of core/Encoder.h on it:
+/// every register belongs to exactly one class, each class numbers its
+/// members locally (differences are computed modulo the class size), and
+/// the decoder keeps one last_reg per class. A set_last_reg's class is
+/// implied by its value, so no new instruction bits are needed. The
+/// one-class partition of r0..RegN-1 encodes exactly like encodeFunction.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -73,12 +74,14 @@ struct ClassedEncodeStats {
 /// (same layout as EncodedFunction::Codes).
 struct ClassedEncodedFunction {
   Function Annotated;
-  std::vector<std::vector<std::vector<uint8_t>>> Codes;
+  CodeTable Codes;
   ClassedEncodeStats Stats;
 };
 
 /// Encodes \p F under the class partition \p C. Every register operand of
-/// F must belong to some class.
+/// F must belong to some class. At a block head, every class whose entry
+/// state is not a single value gets a set_last_reg, whether or not the
+/// block accesses it.
 ClassedEncodedFunction encodeClassedFunction(const Function &F,
                                              const ClassedConfig &C);
 

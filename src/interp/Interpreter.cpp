@@ -45,16 +45,19 @@ ExecResult dra::interpret(const Function &F, uint64_t StepLimit,
     uint32_t NextInst = InstIdx + 1;
 
     auto Shift = [](int64_t Amount) { return Amount & 63; };
+    // Add/Sub/Mul wrap in two's complement: compute them in uint64_t,
+    // where overflow is defined.
+    auto U = [](int64_t V) { return static_cast<uint64_t>(V); };
 
     switch (I.Op) {
     case Opcode::Add:
-      Regs[I.Dst] = Regs[I.Src1] + Regs[I.Src2];
+      Regs[I.Dst] = static_cast<int64_t>(U(Regs[I.Src1]) + U(Regs[I.Src2]));
       break;
     case Opcode::Sub:
-      Regs[I.Dst] = Regs[I.Src1] - Regs[I.Src2];
+      Regs[I.Dst] = static_cast<int64_t>(U(Regs[I.Src1]) - U(Regs[I.Src2]));
       break;
     case Opcode::Mul:
-      Regs[I.Dst] = Regs[I.Src1] * Regs[I.Src2];
+      Regs[I.Dst] = static_cast<int64_t>(U(Regs[I.Src1]) * U(Regs[I.Src2]));
       break;
     case Opcode::DivS:
       Regs[I.Dst] = Regs[I.Src2] == 0 || (Regs[I.Src1] == INT64_MIN &&
@@ -86,10 +89,10 @@ ExecResult dra::interpret(const Function &F, uint64_t StepLimit,
                                          Shift(Regs[I.Src2]));
       break;
     case Opcode::AddI:
-      Regs[I.Dst] = Regs[I.Src1] + I.Imm;
+      Regs[I.Dst] = static_cast<int64_t>(U(Regs[I.Src1]) + U(I.Imm));
       break;
     case Opcode::MulI:
-      Regs[I.Dst] = Regs[I.Src1] * I.Imm;
+      Regs[I.Dst] = static_cast<int64_t>(U(Regs[I.Src1]) * U(I.Imm));
       break;
     case Opcode::AndI:
       Regs[I.Dst] = Regs[I.Src1] & I.Imm;

@@ -13,15 +13,17 @@ namespace {
 /// total semantics (wrapping shifts, zero-result division).
 std::optional<int64_t> evalBinary(Opcode Op, int64_t A, int64_t B) {
   auto Shift = [](int64_t Amount) { return Amount & 63; };
+  // Wrapping two's complement, as the interpreter computes it.
+  auto U = [](int64_t V) { return static_cast<uint64_t>(V); };
   switch (Op) {
   case Opcode::Add:
   case Opcode::AddI:
-    return A + B;
+    return static_cast<int64_t>(U(A) + U(B));
   case Opcode::Sub:
-    return A - B;
+    return static_cast<int64_t>(U(A) - U(B));
   case Opcode::Mul:
   case Opcode::MulI:
-    return A * B;
+    return static_cast<int64_t>(U(A) * U(B));
   case Opcode::DivS:
     return B == 0 || (A == INT64_MIN && B == -1) ? 0 : A / B;
   case Opcode::Rem:

@@ -104,6 +104,71 @@ TEST(BinaryEmitter, DifferentialRoundTrip) {
   EXPECT_TRUE(sameRegisterFields(E.Annotated, Decoded->Annotated));
 }
 
+TEST(BinaryEmitter, DifferentialRoundTripDstFirstWithSpecials) {
+  // The decoder needs each instruction's field order before it has any
+  // register: under DstFirst the def field comes first, and r11 decodes
+  // from its reserved code.
+  EncodingConfig C = lowEndConfig(12);
+  C.Order = AccessOrder::DstFirst;
+  C.DiffN = 7;
+  C.SpecialRegs = {11};
+  Function F = allocatedProgram(6, 11);
+  F.NumRegs = 12;
+  for (Instruction &I : F.Blocks[0].Insts)
+    if (I.def() != NoReg) {
+      I.Dst = 11; // Only the encoding matters here, not the semantics.
+      break;
+    }
+  F.recomputeCFG();
+  EncodedFunction E = encodeFunction(F, C);
+  BinaryModule M = emitDifferential(E, C);
+  std::string Err;
+  auto Decoded = decodeDifferential(M, C, &Err);
+  ASSERT_TRUE(Decoded.has_value()) << Err;
+  EXPECT_TRUE(sameRegisterFields(E.Annotated, Decoded->Annotated));
+  EXPECT_EQ(Decoded->Codes, E.Codes);
+}
+
+TEST(BinaryEmitter, ZeroBlockFunctionRoundTrips) {
+  // A module with no blocks has nothing to decode; the decoder must say
+  // so rather than seed its walk with a block that is not there.
+  EncodingConfig C = lowEndConfig(12);
+  Function F;
+  F.NumRegs = 12;
+  EncodedFunction E = encodeFunction(F, C);
+  BinaryModule M = emitDifferential(E, C);
+  std::string Err;
+  auto Decoded = decodeDifferential(M, C, &Err);
+  ASSERT_TRUE(Decoded.has_value()) << Err;
+  EXPECT_TRUE(Decoded->Annotated.Blocks.empty());
+  EXPECT_TRUE(Decoded->Codes.empty());
+  EXPECT_EQ(Decoded->Annotated.NumRegs, 12u);
+}
+
+TEST(BinaryEmitter, UnexplainedSpecialCodeRejected) {
+  // DiffN 6 with one special register leaves code 7 meaning nothing: a
+  // module carrying it is malformed, and decoding it is an error.
+  EncodingConfig C = lowEndConfig(12);
+  C.DiffN = 6;
+  C.SpecialRegs = {11};
+  ASSERT_TRUE(C.valid());
+  Function F = allocatedProgram(8, 11);
+  F.NumRegs = 12;
+  EncodedFunction E = encodeFunction(F, C);
+  bool Corrupted = false;
+  for (auto &Block : E.Codes)
+    for (auto &Inst : Block)
+      if (!Inst.empty() && !Corrupted) {
+        Inst.front() = 7;
+        Corrupted = true;
+      }
+  ASSERT_TRUE(Corrupted);
+  BinaryModule M = emitDifferential(E, C);
+  std::string Err;
+  EXPECT_FALSE(decodeDifferential(M, C, &Err).has_value());
+  EXPECT_NE(Err.find("invalid special code"), std::string::npos) << Err;
+}
+
 TEST(BinaryEmitter, DifferentialFieldsAreNarrower) {
   // The paper's core claim, measured on real emitted bits: the same
   // program addressing 12 registers spends 3 bits per field
@@ -129,6 +194,29 @@ TEST(BinaryEmitter, TruncatedInputRejected) {
   std::string Err;
   EXPECT_FALSE(decodeDirect(M, &Err).has_value());
   EXPECT_FALSE(Err.empty());
+}
+
+TEST(BinaryEmitter, BranchTargetOutOfRangeRejected) {
+  // A jump to a block the module does not have is malformed input: the
+  // decoder must say so instead of building a CFG edge to nowhere.
+  Function F;
+  F.NumRegs = 2;
+  F.makeBlock();
+  Instruction Jmp;
+  Jmp.Op = Opcode::Jmp;
+  Jmp.Target0 = 0;
+  F.Blocks[0].Insts.push_back(Jmp);
+  F.recomputeCFG();
+  BinaryModule M = emitDirect(F);
+  // The 16-bit block index follows the header (64 bits), the block size
+  // (16) and the opcode (5); bits fill each byte from the low end. Set
+  // its bit 1: the jump now targets bb2.
+  size_t Bit = 64 + 16 + 5 + 1;
+  M.Bytes[Bit / 8] |= static_cast<uint8_t>(1u << (Bit % 8));
+  std::string Err;
+  EXPECT_FALSE(decodeDirect(M, &Err).has_value());
+  EXPECT_NE(Err.find("branch target out of range"), std::string::npos)
+      << Err;
 }
 
 TEST(BinaryEmitter, DeterministicBytes) {

@@ -2,6 +2,7 @@
 
 #include "core/AccessSequence.h"
 #include "core/ClassedEncoder.h"
+#include "core/Encoder.h"
 #include "interp/Interpreter.h"
 #include "ir/IRBuilder.h"
 #include "regalloc/GraphColoring.h"
@@ -52,16 +53,63 @@ bool sameRegisterFields(const Function &A, const Function &B) {
   return true;
 }
 
-/// A random program allocated onto 16 registers.
-Function allocated16(uint64_t Seed) {
+/// A random program allocated onto \p K registers.
+Function allocated(uint64_t Seed, unsigned K) {
   ProgramProfile P;
   P.Seed = Seed;
   P.PressureVars = 5;
   P.TopStatements = 6;
   P.OuterTrip = 3;
   Function F = generateProgram("cl", P);
-  allocateGraphColoring(F, 16);
+  allocateGraphColoring(F, K);
   return F;
+}
+
+Instruction mov(RegId Dst, RegId Src) {
+  Instruction I;
+  I.Op = Opcode::Mov;
+  I.Dst = Dst;
+  I.Src1 = Src;
+  return I;
+}
+
+Instruction jmp(uint32_t Target) {
+  Instruction I;
+  I.Op = Opcode::Jmp;
+  I.Target0 = Target;
+  return I;
+}
+
+Instruction ret(RegId Src) {
+  Instruction I;
+  I.Op = Opcode::Ret;
+  I.Src1 = Src;
+  return I;
+}
+
+Instruction slr(RegId Value, uint32_t Delay) {
+  Instruction I;
+  I.Op = Opcode::SetLastReg;
+  I.Imm = Value;
+  I.Aux = Delay;
+  return I;
+}
+
+/// A 16-register function with \p NumBlocks empty blocks.
+Function blocks16(unsigned NumBlocks) {
+  Function F;
+  F.NumRegs = 16;
+  F.MemWords = 4;
+  for (unsigned B = 0; B != NumBlocks; ++B)
+    F.makeBlock();
+  return F;
+}
+
+size_t setLastRegsIn(const BasicBlock &BB) {
+  size_t N = 0;
+  for (const Instruction &I : BB.Insts)
+    N += I.Op == Opcode::SetLastReg;
+  return N;
 }
 
 } // namespace
@@ -158,12 +206,81 @@ TEST(ClassedEncoder, ZeroBlockFunctionIsVacuouslyDecodable) {
   EXPECT_TRUE(verifyClassedDecodable(E.Annotated, C, &Err)) << Err;
 }
 
+TEST(ClassedEncoder, VerifyRejectsDelayedSlrThatNeverApplies) {
+  // The decoder drops a pending delayed set_last_reg after the next
+  // instruction, so a delay at or past that instruction's field count
+  // never applies, and one at block end has no instruction to apply at.
+  // Both must be rejected, as verifyDecodable rejects them.
+  ClassedConfig C = twoClassConfig();
+  std::string Err;
+
+  Function OverDelayed = blocks16(1);
+  OverDelayed.Blocks[0].Insts = {slr(12, 2), ret(0)}; // ret has 1 field.
+  OverDelayed.recomputeCFG();
+  EXPECT_FALSE(verifyClassedDecodable(OverDelayed, C, &Err));
+  EXPECT_NE(Err.find("never applies"), std::string::npos) << Err;
+
+  Function Dangling = blocks16(1);
+  Dangling.Blocks[0].Insts = {mov(1, 0), slr(12, 1)};
+  Dangling.recomputeCFG();
+  EXPECT_FALSE(verifyClassedDecodable(Dangling, C, &Err));
+  EXPECT_NE(Err.find("dangles"), std::string::npos) << Err;
+}
+
+TEST(ClassedEncoder, UnreachablePredecessorDoesNotForceJoinRepair) {
+  // bb2 is a join of bb0 and the unreachable bb1, which leaves the addr
+  // class at a different register. Execution never arrives through bb1,
+  // so bb2 needs no repair. bb1 itself enters every class unknown and
+  // gets one repair per class.
+  ClassedConfig C = twoClassConfig();
+  Function F = blocks16(3);
+  F.Blocks[0].Insts = {mov(1, 0), mov(11, 10), jmp(2)};
+  F.Blocks[1].Insts = {mov(13, 12), jmp(2)};
+  F.Blocks[2].Insts = {mov(12, 11), ret(1)};
+  F.recomputeCFG();
+  ClassedEncodedFunction E = encodeClassedFunction(F, C);
+  EXPECT_EQ(setLastRegsIn(E.Annotated.Blocks[2]), 0u);
+  EXPECT_EQ(setLastRegsIn(E.Annotated.Blocks[1]), 2u);
+  EXPECT_EQ(E.Stats.PerClass[0].SetLastJoin, 1u);
+  EXPECT_EQ(E.Stats.PerClass[1].SetLastJoin, 1u);
+  std::string Err;
+  ASSERT_TRUE(verifyClassedDecodable(E.Annotated, C, &Err)) << Err;
+  EXPECT_TRUE(sameRegisterFields(decodeClassedFunction(E, C), E.Annotated));
+}
+
+TEST(ClassedEncoder, AmbiguousClassRepairedAtHeadEvenIfUnaccessed) {
+  // The arms of a diamond leave the addr class at r11 and r12; the join
+  // only reads the int class. The addr class is still repaired at the
+  // join head, aimed at its member 0 (the one-class encoder repairs every
+  // ambiguous block head the same way).
+  ClassedConfig C = twoClassConfig();
+  Function F = blocks16(4);
+  Instruction Br;
+  Br.Op = Opcode::Br;
+  Br.Src1 = 0;
+  Br.Target0 = 1;
+  Br.Target1 = 2;
+  F.Blocks[0].Insts = {Br};
+  F.Blocks[1].Insts = {mov(11, 10), jmp(3)};
+  F.Blocks[2].Insts = {mov(12, 10), jmp(3)};
+  F.Blocks[3].Insts = {ret(0)};
+  F.recomputeCFG();
+  ClassedEncodedFunction E = encodeClassedFunction(F, C);
+  EXPECT_EQ(E.Stats.PerClass[0].SetLastJoin, 0u);
+  EXPECT_EQ(E.Stats.PerClass[1].SetLastJoin, 1u);
+  const Instruction &Head = E.Annotated.Blocks[3].Insts.front();
+  EXPECT_EQ(Head.Op, Opcode::SetLastReg);
+  EXPECT_EQ(Head.Imm, 10);
+  std::string Err;
+  EXPECT_TRUE(verifyClassedDecodable(E.Annotated, C, &Err)) << Err;
+}
+
 /// Round-trip property across random allocated programs.
 class ClassedRoundTrip : public ::testing::TestWithParam<int> {};
 
 TEST_P(ClassedRoundTrip, DecodeRecoversEveryField) {
   ClassedConfig C = twoClassConfig();
-  Function F = allocated16(static_cast<uint64_t>(GetParam()) * 41 + 3);
+  Function F = allocated(static_cast<uint64_t>(GetParam()) * 41 + 3, 16);
   ExecResult Before = interpret(F);
   ClassedEncodedFunction E = encodeClassedFunction(F, C);
   std::string Err;
@@ -184,6 +301,33 @@ TEST_P(ClassedRoundTrip, DecodeRecoversEveryField) {
     }
   // The annotation is architecturally inert.
   EXPECT_EQ(fingerprint(interpret(E.Annotated)), fingerprint(Before));
+}
+
+TEST_P(ClassedRoundTrip, OneClassPartitionMatchesEncodeFunction) {
+  // The one-class partition of r0..r11 is the low-end configuration, so
+  // both entry points must produce the same annotations, codes, stats and
+  // decode.
+  ClassedConfig C;
+  RegClass All;
+  All.Name = "all";
+  for (RegId R = 0; R != 12; ++R)
+    All.Members.push_back(R);
+  C.Classes = {All};
+  EncodingConfig Low = lowEndConfig(12);
+  Function F = allocated(static_cast<uint64_t>(GetParam()) * 41 + 3, 12);
+  ClassedEncodedFunction CE = encodeClassedFunction(F, C);
+  EncodedFunction E = encodeFunction(F, Low);
+  EXPECT_EQ(printFunction(CE.Annotated), printFunction(E.Annotated));
+  EXPECT_EQ(CE.Codes, E.Codes);
+  ASSERT_EQ(CE.Stats.PerClass.size(), 1u);
+  const EncodeStats &S = CE.Stats.PerClass[0];
+  EXPECT_EQ(S.SetLastJoin, E.Stats.SetLastJoin);
+  EXPECT_EQ(S.SetLastRange, E.Stats.SetLastRange);
+  EXPECT_EQ(S.NumInsts, E.Stats.NumInsts);
+  EXPECT_EQ(S.FieldBits, E.Stats.FieldBits);
+  EXPECT_EQ(S.NumFields, E.Stats.NumFields);
+  EXPECT_EQ(printFunction(decodeClassedFunction(CE, C)),
+            printFunction(decodeFunction(E, Low)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClassedRoundTrip, ::testing::Range(0, 8));

@@ -78,8 +78,9 @@ TEST(EncoderEdge, UnreachableBlockStillDecodable) {
   uint32_t Dead = F.makeBlock();
   IRBuilder B(F);
   B.setBlock(B0);
-  RegId V = B.createMovImm(7);
-  B.createRet(V);
+  // createMovImm would allocate a fresh register, r12, past RegN 12.
+  B.createMovImmTo(2, 7);
+  B.createRet(2);
   B.setBlock(Dead);
   B.createMovImmTo(9, 1); // Never executed; still must encode sanely.
   Instruction Ret;

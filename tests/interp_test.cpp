@@ -63,6 +63,28 @@ TEST(Interp, RemainderOverflowGuard) {
   EXPECT_EQ(interpret(F).ReturnValue, 0);
 }
 
+TEST(Interp, ArithmeticWrapsAtInt64Extremes) {
+  // 64-bit two's complement: overflow wraps instead of being undefined.
+  auto Run = [](Opcode Op, int64_t A, int64_t C) {
+    return interpret(straightLine([&](IRBuilder &B) {
+             return B.createBin(Op, B.createMovImm(A), B.createMovImm(C));
+           }))
+        .ReturnValue;
+  };
+  auto RunImm = [](Opcode Op, int64_t A, int64_t Imm) {
+    return interpret(straightLine([&](IRBuilder &B) {
+             return B.createBinImm(Op, B.createMovImm(A), Imm);
+           }))
+        .ReturnValue;
+  };
+  EXPECT_EQ(Run(Opcode::Add, INT64_MAX, 1), INT64_MIN);
+  EXPECT_EQ(Run(Opcode::Sub, INT64_MIN, 1), INT64_MAX);
+  EXPECT_EQ(Run(Opcode::Mul, INT64_MAX, 2), -2);
+  EXPECT_EQ(Run(Opcode::Mul, INT64_MIN, -1), INT64_MIN);
+  EXPECT_EQ(RunImm(Opcode::AddI, INT64_MIN, -1), INT64_MAX);
+  EXPECT_EQ(RunImm(Opcode::MulI, INT64_MIN, -1), INT64_MIN);
+}
+
 TEST(Interp, Comparisons) {
   Function F = straightLine([](IRBuilder &B) {
     RegId A = B.createMovImm(3);

@@ -111,6 +111,41 @@ TEST(ConstantFold, FoldsArithmeticChains) {
   EXPECT_EQ(interpret(F).ReturnValue, 40);
 }
 
+TEST(ConstantFold, WrapsAtInt64ExtremesLikeTheInterpreter) {
+  // Each operation at an INT64 extreme folds to the value the interpreter
+  // computes for it: both wrap in two's complement.
+  struct Case {
+    Opcode Op;
+    int64_t A, C;
+    int64_t Wrapped;
+  };
+  for (const Case &K : {Case{Opcode::Add, INT64_MAX, 1, INT64_MIN},
+                        Case{Opcode::Sub, INT64_MIN, 1, INT64_MAX},
+                        Case{Opcode::Mul, INT64_MAX, 2, -2},
+                        Case{Opcode::Mul, INT64_MIN, -1, INT64_MIN},
+                        Case{Opcode::AddI, INT64_MIN, -1, INT64_MAX},
+                        Case{Opcode::MulI, INT64_MIN, -1, INT64_MIN}}) {
+    Function F;
+    F.MemWords = 4;
+    F.makeBlock();
+    IRBuilder B(F);
+    B.setBlock(0);
+    RegId A = B.createMovImm(K.A);
+    RegId R = K.Op == Opcode::AddI || K.Op == Opcode::MulI
+                  ? B.createBinImm(K.Op, A, K.C)
+                  : B.createBin(K.Op, A, B.createMovImm(K.C));
+    B.createRet(R);
+    F.recomputeCFG();
+    int64_t Interpreted = interpret(F).ReturnValue;
+    EXPECT_EQ(Interpreted, K.Wrapped) << opcodeName(K.Op);
+    ConstantFoldStats S = foldConstants(F);
+    EXPECT_EQ(S.InstsFolded, 1u) << opcodeName(K.Op);
+    const Instruction &Folded = F.Blocks[0].Insts[F.Blocks[0].Insts.size() - 2];
+    EXPECT_EQ(Folded.Op, Opcode::MovI) << opcodeName(K.Op);
+    EXPECT_EQ(Folded.Imm, Interpreted) << opcodeName(K.Op);
+  }
+}
+
 TEST(ConstantFold, FoldsKnownBranch) {
   Function F;
   F.MemWords = 4;
