@@ -36,37 +36,6 @@ bool BitVector::none() const {
   return true;
 }
 
-bool BitVector::anyCommon(const BitVector &Other) const {
-  size_t N = std::min(Words.size(), Other.Words.size());
-  for (size_t I = 0; I != N; ++I)
-    if (Words[I] & Other.Words[I])
-      return true;
-  return false;
-}
-
-bool BitVector::unionWith(const BitVector &Other) {
-  assert(NumBits == Other.NumBits && "universe mismatch");
-  bool Changed = false;
-  for (size_t I = 0, E = Words.size(); I != E; ++I) {
-    uint64_t Merged = Words[I] | Other.Words[I];
-    Changed |= Merged != Words[I];
-    Words[I] = Merged;
-  }
-  return Changed;
-}
-
-void BitVector::intersectWith(const BitVector &Other) {
-  assert(NumBits == Other.NumBits && "universe mismatch");
-  for (size_t I = 0, E = Words.size(); I != E; ++I)
-    Words[I] &= Other.Words[I];
-}
-
-void BitVector::subtract(const BitVector &Other) {
-  assert(NumBits == Other.NumBits && "universe mismatch");
-  for (size_t I = 0, E = Words.size(); I != E; ++I)
-    Words[I] &= ~Other.Words[I];
-}
-
 size_t BitVector::findNext(size_t From) const {
   if (From >= NumBits)
     return npos;

@@ -61,18 +61,6 @@ public:
   /// Returns true if no bit is set.
   bool none() const;
 
-  /// Returns true if any bit in common with \p Other is set.
-  bool anyCommon(const BitVector &Other) const;
-
-  /// Set union; returns true if this changed. Universes must match.
-  bool unionWith(const BitVector &Other);
-
-  /// Set intersection (in place). Universes must match.
-  void intersectWith(const BitVector &Other);
-
-  /// Set difference `this -= Other`. Universes must match.
-  void subtract(const BitVector &Other);
-
   bool operator==(const BitVector &Other) const {
     return NumBits == Other.NumBits && Words == Other.Words;
   }

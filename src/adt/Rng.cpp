@@ -67,24 +67,3 @@ double Rng::nextDouble() {
   // 53 high bits give a uniform double in [0, 1).
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
-
-size_t Rng::pickWeighted(const std::vector<double> &Weights) {
-  double Total = 0;
-  for (double W : Weights) {
-    assert(W >= 0 && "negative weight");
-    Total += W;
-  }
-  assert(Total > 0 && "all weights zero");
-  double Point = nextDouble() * Total;
-  double Acc = 0;
-  for (size_t I = 0, E = Weights.size(); I != E; ++I) {
-    Acc += Weights[I];
-    if (Point < Acc)
-      return I;
-  }
-  // Floating point round-off: return the last positive weight.
-  for (size_t I = Weights.size(); I > 0; --I)
-    if (Weights[I - 1] > 0)
-      return I - 1;
-  return 0;
-}

@@ -76,11 +76,6 @@ public:
     return Items[nextBelow(Items.size())];
   }
 
-  /// Samples an index from the discrete distribution given by non-negative
-  /// \p Weights (not necessarily normalized). At least one weight must be
-  /// positive.
-  size_t pickWeighted(const std::vector<double> &Weights);
-
   /// Shuffles \p Items in place (Fisher-Yates).
   template <typename T> void shuffle(std::vector<T> &Items) {
     for (size_t I = Items.size(); I > 1; --I)

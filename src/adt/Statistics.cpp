@@ -4,29 +4,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 using namespace dra;
-
-double dra::mean(const std::vector<double> &Values) {
-  if (Values.empty())
-    return 0;
-  double Sum = 0;
-  for (double V : Values)
-    Sum += V;
-  return Sum / static_cast<double>(Values.size());
-}
-
-double dra::geomean(const std::vector<double> &Values) {
-  if (Values.empty())
-    return 0;
-  double LogSum = 0;
-  for (double V : Values) {
-    assert(V > 0 && "geomean requires positive values");
-    LogSum += std::log(V);
-  }
-  return std::exp(LogSum / static_cast<double>(Values.size()));
-}
 
 double dra::percentile(std::vector<double> Values, double P) {
   if (Values.empty())
@@ -38,28 +17,4 @@ double dra::percentile(std::vector<double> Values, double P) {
   size_t Hi = std::min(Lo + 1, Values.size() - 1);
   double Frac = Rank - static_cast<double>(Lo);
   return Values[Lo] * (1 - Frac) + Values[Hi] * Frac;
-}
-
-double StatAccumulator::mean() const {
-  return dra::mean(samples());
-}
-
-std::vector<double> StatAccumulator::samples() const {
-  std::vector<double> Copy;
-  {
-    std::lock_guard<std::mutex> Lock(Mtx);
-    Copy = Values;
-  }
-  std::sort(Copy.begin(), Copy.end());
-  return Copy;
-}
-
-double dra::stddev(const std::vector<double> &Values) {
-  if (Values.size() < 2)
-    return 0;
-  double M = mean(Values);
-  double Acc = 0;
-  for (double V : Values)
-    Acc += (V - M) * (V - M);
-  return std::sqrt(Acc / static_cast<double>(Values.size() - 1));
 }

@@ -5,89 +5,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers for summarizing experiment measurements: mean, geometric mean,
-/// percentiles. Used by the benchmark harnesses when aggregating per-program
-/// results into the paper's "average" rows.
+/// Percentiles for summarizing measurements: the metrics registry's
+/// histogram summaries and dra-loadgen's latency report.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DRA_ADT_STATISTICS_H
 #define DRA_ADT_STATISTICS_H
 
-#include <cstddef>
-#include <mutex>
 #include <vector>
 
 namespace dra {
 
-/// Arithmetic mean of \p Values; 0 for an empty input.
-double mean(const std::vector<double> &Values);
-
-/// Geometric mean of strictly positive \p Values; 0 for an empty input.
-double geomean(const std::vector<double> &Values);
-
 /// Linear-interpolated percentile \p P in [0, 100]; 0 for an empty input.
 double percentile(std::vector<double> Values, double P);
-
-/// Sample standard deviation; 0 when fewer than two values.
-double stddev(const std::vector<double> &Values);
-
-/// Race-free sample collector for parallel measurement.
-///
-/// Thread-safety audit (parallel driver, src/driver/): the free functions
-/// above are pure — they share no state and are safe from any thread —
-/// but *accumulating* samples from concurrent batch tasks needs a
-/// synchronized container. StatAccumulator is that container: `add` may
-/// be called from every pool worker simultaneously; the summary accessors
-/// take the same lock, so totals are never torn. The stored sample order
-/// is scheduling-dependent; summaries (and the sorted copy `samples`
-/// returns) are not.
-class StatAccumulator {
-public:
-  StatAccumulator() = default;
-  StatAccumulator(const StatAccumulator &Other) : Values(Other.samples()) {}
-  StatAccumulator &operator=(const StatAccumulator &Other) {
-    if (this != &Other) {
-      std::vector<double> Copy = Other.samples();
-      std::lock_guard<std::mutex> Lock(Mtx);
-      Values = std::move(Copy);
-    }
-    return *this;
-  }
-
-  /// Records one sample. Thread-safe.
-  void add(double V) {
-    std::lock_guard<std::mutex> Lock(Mtx);
-    Values.push_back(V);
-  }
-
-  /// Folds another accumulator's samples into this one. Thread-safe.
-  void merge(const StatAccumulator &Other) {
-    std::vector<double> Theirs = Other.samples();
-    std::lock_guard<std::mutex> Lock(Mtx);
-    Values.insert(Values.end(), Theirs.begin(), Theirs.end());
-  }
-
-  size_t count() const {
-    std::lock_guard<std::mutex> Lock(Mtx);
-    return Values.size();
-  }
-  double sum() const {
-    std::lock_guard<std::mutex> Lock(Mtx);
-    double Total = 0;
-    for (double V : Values)
-      Total += V;
-    return Total;
-  }
-  double mean() const;
-
-  /// A sorted snapshot, deterministic regardless of insertion order.
-  std::vector<double> samples() const;
-
-private:
-  mutable std::mutex Mtx;
-  std::vector<double> Values;
-};
 
 } // namespace dra
 

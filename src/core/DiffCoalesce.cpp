@@ -18,6 +18,12 @@ using namespace dra;
 
 namespace {
 
+/// Candidates evaluated per step (highest move weight first); bounds the
+/// O(moves^2) loop on move-heavy functions.
+constexpr unsigned MaxCandidatesPerStep = 32;
+/// Upper bound on committed coalescences (safety valve).
+constexpr unsigned MaxSteps = 256;
+
 /// The merged view of one function's interference + adjacency graphs under
 /// a set of committed coalescences. Nodes are virtual registers; merged
 /// groups are represented by their union-find root.
@@ -262,7 +268,7 @@ ColorOutcome colorMerged(const MergedGraph &G, const EncodingConfig &C,
 } // namespace
 
 CoalesceResult dra::coalesceAndColor(Function &F, const EncodingConfig &C,
-                                     const CoalesceOptions &O,
+                                     bool DiffAware,
                                      std::vector<StageSpan> *SubSpans,
                                      Arena *Scratch) {
   CoalesceResult Result;
@@ -283,12 +289,12 @@ CoalesceResult dra::coalesceAndColor(Function &F, const EncodingConfig &C,
     double CurCost;
     {
       ++Result.OracleCalls;
-      ColorOutcome Cur = colorMerged(G, C, O.DiffAware);
-      CurCost = (Cur.Colorable && O.DiffAware ? Cur.DiffCost : 0.0) +
+      ColorOutcome Cur = colorMerged(G, C, DiffAware);
+      CurCost = (Cur.Colorable && DiffAware ? Cur.DiffCost : 0.0) +
                 G.remainingMoveWeight();
     }
 
-    for (unsigned Step = 0; Step != O.MaxSteps; ++Step) {
+    for (unsigned Step = 0; Step != MaxSteps; ++Step) {
       auto Candidates = G.activeMoves();
       // Drop interfering pairs; order by descending weight.
       Candidates.erase(
@@ -304,8 +310,8 @@ CoalesceResult dra::coalesceAndColor(Function &F, const EncodingConfig &C,
                     return A.second > B.second;
                   return A.first < B.first;
                 });
-      if (Candidates.size() > O.MaxCandidatesPerStep)
-        Candidates.resize(O.MaxCandidatesPerStep);
+      if (Candidates.size() > MaxCandidatesPerStep)
+        Candidates.resize(MaxCandidatesPerStep);
       if (Candidates.empty())
         break;
 
@@ -316,12 +322,12 @@ CoalesceResult dra::coalesceAndColor(Function &F, const EncodingConfig &C,
         Probe.merge(Pair.first, Pair.second);
         ++Result.ProbesAttempted;
         ++Result.OracleCalls;
-        ColorOutcome Probed = colorMerged(Probe, C, O.DiffAware);
+        ColorOutcome Probed = colorMerged(Probe, C, DiffAware);
         if (!Probed.Colorable) {
           ++Result.ProbesUncolorable;
           continue;
         }
-        double NewCost = (O.DiffAware ? Probed.DiffCost : 0.0) +
+        double NewCost = (DiffAware ? Probed.DiffCost : 0.0) +
                          Probe.remainingMoveWeight();
         if (NewCost < BestNewCost - 1e-9) {
           BestNewCost = NewCost;
@@ -338,7 +344,7 @@ CoalesceResult dra::coalesceAndColor(Function &F, const EncodingConfig &C,
 
     // Final coloring.
     ++Result.OracleCalls;
-    ColorOutcome Final = colorMerged(G, C, O.DiffAware);
+    ColorOutcome Final = colorMerged(G, C, DiffAware);
     if (!Final.Colorable) {
       if (++SpillRetries > MaxSpillRetries) {
         Result.Success = false;
@@ -356,7 +362,7 @@ CoalesceResult dra::coalesceAndColor(Function &F, const EncodingConfig &C,
 
     // Live-range-granularity refinement of the final assignment (see
     // core/Recolor.h); clusters keep coalesced moves intact.
-    if (O.DiffAware) {
+    if (DiffAware) {
       RecolorStats RS = recolorColoring(F, C, Final.ColorOfVReg);
       Result.FinalAdjCost = RS.CostAfter;
     } else {

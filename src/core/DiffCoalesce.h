@@ -36,18 +36,6 @@ namespace dra {
 
 class Arena;
 
-/// Knobs for the coalesce/color driver.
-struct CoalesceOptions {
-  /// Include differential-encoding cost in the coalescing objective and
-  /// color with differential select.
-  bool DiffAware = true;
-  /// Evaluate at most this many candidates per step (highest move weight
-  /// first); bounds the O(moves^2) loop on move-heavy functions.
-  unsigned MaxCandidatesPerStep = 32;
-  /// Upper bound on committed coalescences (safety valve).
-  unsigned MaxSteps = 256;
-};
-
 /// Outcome of coalesceAndColor.
 struct CoalesceResult {
   /// Moves whose endpoints were merged (instruction deleted).
@@ -82,6 +70,9 @@ struct CoalesceResult {
 /// in place (register operands become physical numbers < C.RegN, identity
 /// moves are deleted, F.NumRegs becomes C.RegN). The function must already
 /// satisfy max-pressure <= C.RegN - small slack (run optimalSpill first).
+/// \p DiffAware includes the differential-encoding cost in the coalescing
+/// objective and colors with differential select (the Coalesce scheme);
+/// without it the driver is the O-spill arm's move-cost-only coalescer.
 ///
 /// When \p SubSpans is non-null, one Depth-1 "coalesce.round" span is
 /// recorded per coalesce/color (restart) round (null = no clock reads).
@@ -89,7 +80,7 @@ struct CoalesceResult {
 /// interference bit rows) is carved from the arena instead of the heap;
 /// the arena must outlive the call.
 CoalesceResult coalesceAndColor(Function &F, const EncodingConfig &C,
-                                const CoalesceOptions &O = {},
+                                bool DiffAware = true,
                                 std::vector<StageSpan> *SubSpans = nullptr,
                                 Arena *Scratch = nullptr);
 

@@ -48,6 +48,9 @@ struct OptimalSpillResult {
   size_t ILPVariables = 0;
 };
 
+/// Branch-and-bound nodes each covering-ILP solve may explore.
+constexpr uint64_t DefaultNodeBudget = 20000;
+
 /// Inserts spill code into \p F until no program point has more than \p K
 /// simultaneously-live registers. Minimizes the frequency-weighted spill
 /// cost per round via the covering ILP.
@@ -57,7 +60,7 @@ struct OptimalSpillResult {
 /// per-round analysis scratch (liveness worklists) is carved from the
 /// arena instead of the heap; the arena must outlive the call.
 OptimalSpillResult optimalSpill(Function &F, unsigned K,
-                                uint64_t NodeBudget = 20000,
+                                uint64_t NodeBudget = DefaultNodeBudget,
                                 std::vector<StageSpan> *SubSpans = nullptr,
                                 Arena *Scratch = nullptr);
 

@@ -124,14 +124,12 @@ PipelineResult runOnce(const Function &Src, const PipelineConfig &C) {
   case Scheme::OSpill: {
     {
       StageTimer T(R, "ospill");
-      R.OSpill = optimalSpill(R.F, C.BaselineK, C.ILPNodeBudget, &R.Spans,
+      R.OSpill = optimalSpill(R.F, C.BaselineK, DefaultNodeBudget, &R.Spans,
                               &RunArena);
     }
     StageTimer T(R, "coalesce");
-    CoalesceOptions CO = C.Coalesce;
-    CO.DiffAware = false;
-    R.Coalesce = coalesceAndColor(R.F, directConfig(C.BaselineK), CO,
-                                  &R.Spans, &RunArena);
+    R.Coalesce = coalesceAndColor(R.F, directConfig(C.BaselineK),
+                                  /*DiffAware=*/false, &R.Spans, &RunArena);
     break;
   }
   case Scheme::Remap: {
@@ -160,7 +158,7 @@ PipelineResult runOnce(const Function &Src, const PipelineConfig &C) {
     // remapping post-pass of Section 3.
     {
       StageTimer T(R, "recolor");
-      R.Recolor = recolorColoring(R.F, C.Enc, ColorOf, {}, &RunArena);
+      R.Recolor = recolorColoring(R.F, C.Enc, ColorOf, &RunArena);
       rewriteToPhysical(R.F, ColorOf, C.Enc.RegN, &R.Alloc.MovesRemoved);
       R.F.NumRegs = C.Enc.RegN;
     }
@@ -172,14 +170,13 @@ PipelineResult runOnce(const Function &Src, const PipelineConfig &C) {
   case Scheme::Coalesce: {
     {
       StageTimer T(R, "ospill");
-      R.OSpill = optimalSpill(R.F, C.Enc.RegN, C.ILPNodeBudget, &R.Spans,
+      R.OSpill = optimalSpill(R.F, C.Enc.RegN, DefaultNodeBudget, &R.Spans,
                               &RunArena);
     }
     {
       StageTimer T(R, "coalesce");
-      CoalesceOptions CO = C.Coalesce;
-      CO.DiffAware = true;
-      R.Coalesce = coalesceAndColor(R.F, C.Enc, CO, &R.Spans, &RunArena);
+      R.Coalesce = coalesceAndColor(R.F, C.Enc, /*DiffAware=*/true, &R.Spans,
+                                    &RunArena);
     }
     StageTimer T(R, "remap");
     R.Remap = remapFunction(R.F, C.Enc, C.Remap);

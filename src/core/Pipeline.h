@@ -64,12 +64,6 @@ struct PipelineConfig {
   /// estimated benefit (frequency-weighted spills saved) exceeds the
   /// estimated set_last_reg overhead; otherwise fall back to Baseline.
   bool AdaptiveEnable = false;
-  /// Coalesce-driver knobs (Coalesce/OSpill schemes). The scheme decides
-  /// DiffAware (false for OSpill, true for Coalesce), so its value here is
-  /// ignored and not part of the cache key.
-  CoalesceOptions Coalesce;
-  /// ILP node budget (OSpill/Coalesce schemes).
-  uint64_t ILPNodeBudget = 20000;
   /// When non-null, runPipeline flushes allocator-deep counters (worklist
   /// rounds, coalesce-test outcomes, oracle calls, set_last_reg repairs,
   /// per-stage durations, ...) into this registry, labeled with

@@ -14,6 +14,9 @@ using namespace dra;
 
 namespace {
 
+/// Maximum improvement sweeps over all clusters.
+constexpr unsigned MaxSweeps = 12;
+
 /// Union-find over virtual registers.
 class UnionFind {
 public:
@@ -37,7 +40,6 @@ private:
 
 RecolorStats dra::recolorColoring(const Function &F, const EncodingConfig &C,
                                   std::vector<RegId> &ColorOf,
-                                  const RecolorOptions &O,
                                   Arena *Scratch) {
   assert(ColorOf.size() == F.NumRegs && "coloring size mismatch");
   unsigned K = C.RegN;
@@ -76,7 +78,7 @@ RecolorStats dra::recolorColoring(const Function &F, const EncodingConfig &C,
   };
   Stats.Clusters = Clusters.size();
 
-  for (Stats.Sweeps = 0; Stats.Sweeps != O.MaxSweeps; ++Stats.Sweeps) {
+  for (Stats.Sweeps = 0; Stats.Sweeps != MaxSweeps; ++Stats.Sweeps) {
     bool Changed = false;
     for (RegId Root : Clusters) {
       const std::vector<RegId> &Group = Members[Root];

@@ -31,12 +31,6 @@ namespace dra {
 
 class Arena;
 
-/// Recoloring knobs.
-struct RecolorOptions {
-  /// Maximum improvement sweeps over all clusters.
-  unsigned MaxSweeps = 12;
-};
-
 /// Recoloring outcome.
 struct RecolorStats {
   double CostBefore = 0;
@@ -61,7 +55,6 @@ struct RecolorStats {
 /// outlive the call.
 RecolorStats recolorColoring(const Function &F, const EncodingConfig &C,
                              std::vector<RegId> &ColorOf,
-                             const RecolorOptions &O = {},
                              Arena *Scratch = nullptr);
 
 } // namespace dra

@@ -2,7 +2,6 @@
 
 #include "driver/BatchCompiler.h"
 
-#include "adt/Rng.h"
 #include "driver/Trace.h"
 
 #include <cassert>
@@ -26,8 +25,6 @@ BatchCompiler::run(const std::vector<Function> &Functions,
   std::vector<PipelineResult> Results(Functions.size());
   Pool.parallelFor(Functions.size(), [&](size_t I) {
     PipelineConfig C = Configs[I];
-    if (Opts.PerTaskSeeds)
-      C.Remap.Seed = Rng::taskSeed(C.Remap.Seed, I);
     if (Opts.Cache)
       C.Cache = Opts.Cache;
     const uint64_t BeginNs = C.Trace ? steadyClockNs() : 0;

@@ -9,10 +9,10 @@
 /// Guarantees:
 ///
 ///  * **Determinism.** Results are ordered by input index and every task
-///    derives its configuration (including the remapping RNG seed, when
-///    `PerTaskSeeds` is set) from the task index alone — never from
-///    scheduling order or worker identity. `Jobs=1` and `Jobs=N` therefore
-///    produce bit-identical results; tests/driver_test.cpp enforces this.
+///    compiles its function with its own config alone — nothing depends
+///    on scheduling order or worker identity. `Jobs=1` and `Jobs=N`
+///    therefore produce bit-identical results; tests/driver_test.cpp
+///    enforces this.
 ///  * **Tracing.** When the config's `Trace` context is set, each task
 ///    names its worker thread there and records one span named after the
 ///    function, under which runPipeline adds the stage, substage and
@@ -34,11 +34,6 @@ namespace dra {
 struct BatchOptions {
   /// Worker threads; 0 = ThreadPool::defaultWorkerCount().
   unsigned Jobs = 0;
-  /// Reseed each task's remapping RNG from (Config.Remap.Seed, index) via
-  /// Rng::taskSeed, decorrelating the restart streams across the batch.
-  /// Off by default so a batch over one shared config reproduces the
-  /// serial suites' historical numbers exactly.
-  bool PerTaskSeeds = false;
   /// Optional result cache (driver/ResultCache.h), shared by all tasks
   /// and consulted inside runPipeline. Overrides any per-config Cache
   /// pointer so a batch has one coherent cache view.

@@ -231,9 +231,8 @@ uint64_t ResultCache::cacheKey(const Function &Src, const PipelineConfig &C) {
     }
   }
 
-  // Every config knob that steers the pipeline. Coalesce.DiffAware is
-  // excluded (the scheme decides it); Metrics/Cache pointers never affect
-  // the result by construction.
+  // Every config knob that steers the pipeline. Metrics/Cache pointers
+  // never affect the result by construction.
   H.u8(static_cast<uint8_t>(C.S));
   H.u32(C.BaselineK);
   H.u32(C.Enc.RegN);
@@ -244,9 +243,6 @@ uint64_t ResultCache::cacheKey(const Function &Src, const PipelineConfig &C) {
   for (RegId R : C.Enc.SpecialRegs)
     H.u32(R);
   H.u8(C.AdaptiveEnable);
-  H.u64(C.ILPNodeBudget);
-  H.u32(C.Coalesce.MaxCandidatesPerStep);
-  H.u32(C.Coalesce.MaxSteps);
   H.u32(C.Remap.ExhaustiveLimit);
   H.u32(C.Remap.NumStarts);
   H.u64(C.Remap.Seed);

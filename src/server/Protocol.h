@@ -62,9 +62,11 @@
 ///
 /// The server answers with a dra-resp-v1 whose body is a JSON document
 /// (see DESIGN.md "Request tracing & flight recorder" for the schemas):
-/// `stats` = server/queue/cache/trace totals plus per-tier latency
-/// percentiles, `recent` = the flight recorder's last-N request records
-/// (full span detail for slow requests), `health` = a liveness probe.
+/// `stats` = the server's metrics registry as dra-metrics-v1, the same
+/// document `--metrics-out` writes (server/ServerMetrics.h lists its
+/// series; read it with loadMetricsJson), `recent` = the flight
+/// recorder's last-N request records (full span detail for slow
+/// requests), `health` = a liveness probe with the pid and uptime.
 /// Control requests do not count as compile requests and are never shed.
 ///
 //===----------------------------------------------------------------------===//

@@ -409,7 +409,12 @@ CompileResponse CompileServer::handleControl(const std::string &Payload) {
     writeJsonNumber(OS, double(steadyClockNs() - StartNs) / 1000.0);
     OS << "}";
   } else if (Req.Cmd == "stats") {
-    writeStatsJson(OS);
+    // The registry --metrics-out writes, freshly flushed. A server without
+    // one answers from a registry holding just this request's snapshot.
+    MetricsRegistry Local;
+    MetricsRegistry &M = Opts.Metrics ? *Opts.Metrics : Local;
+    flushMetricsInto(M);
+    M.writeJson(OS);
   } else if (Req.Cmd == "recent") {
     writeRecentJson(OS, Req.RecentN);
   } else {
@@ -421,68 +426,6 @@ CompileResponse CompileServer::handleControl(const std::string &Payload) {
   Resp.Status = ResponseStatus::Ok;
   Resp.Body = OS.str();
   return Resp;
-}
-
-void CompileServer::writeStatsJson(std::ostream &OS) const {
-  OS << "{\"server\": {"
-     << "\"pid\": " << osProcessId() << ", \"uptime_us\": ";
-  writeJsonNumber(OS, double(steadyClockNs() - StartNs) / 1000.0);
-  OS << ", \"workers\": " << Workers
-     << ", \"queue_depth\": " << Queue.depth()
-     << ", \"queue_limit\": " << Queue.limit()
-     << ", \"connections\": " << SM.Connections.load()
-     << ", \"connections_open\": " << SM.ConnectionsOpen.load()
-     << ", \"requests\": " << SM.Requests.load()
-     << ", \"ctl_requests\": " << SM.CtlRequests.load()
-     << ", \"accepted\": " << Queue.admitted()
-     << ", \"shed\": " << Queue.shed()
-     << ", \"errors\": " << SM.Errors.load()
-     << ", \"bad_frames\": " << SM.BadFrames.load()
-     << ", \"index_hits\": " << SM.IndexHits.load()
-     << ", \"index_misses\": " << SM.IndexMisses.load()
-     << ", \"index_mismatches\": " << SM.IndexMismatches.load() << "}, ";
-
-  OS << "\"trace\": {"
-     << "\"requests\": " << SM.TracedRequests.load()
-     << ", \"spans\": " << SM.TraceSpans.load()
-     << ", \"dropped_spans\": " << SM.TraceDropped.load()
-     << ", \"slow_requests\": " << SM.SlowRequests.load()
-     << ", \"flight_capacity\": " << Recorder.capacity()
-     << ", \"flight_recorded\": " << Recorder.recorded()
-     << ", \"slow_threshold_us\": " << Recorder.slowThresholdUs() << "}, ";
-
-  // Per-tier latency summaries, straight from the live registry (the same
-  // numbers the dra-metrics-v1 export carries) — including the error/shed
-  // tiers, so failure tails show up in dra-top.
-  OS << "\"tiers\": [";
-  bool First = true;
-  if (Opts.Metrics)
-    for (const auto &H : Opts.Metrics->histograms()) {
-      if (H.Name != "server.latency_us")
-        continue;
-      std::string Tier = "?";
-      for (const auto &[K, V] : H.Labels.entries())
-        if (K == "tier")
-          Tier = V;
-      OS << (First ? "" : ", ") << "{\"tier\": \"" << jsonEscape(Tier)
-         << "\", \"count\": " << H.Count << ", \"sum_us\": ";
-      writeJsonNumber(OS, H.Sum);
-      OS << ", \"min_us\": ";
-      writeJsonNumber(OS, H.Min);
-      OS << ", \"max_us\": ";
-      writeJsonNumber(OS, H.Max);
-      OS << ", \"p50_us\": ";
-      writeJsonNumber(OS, H.P50);
-      OS << ", \"p90_us\": ";
-      writeJsonNumber(OS, H.P90);
-      OS << ", \"p95_us\": ";
-      writeJsonNumber(OS, H.P95);
-      OS << ", \"p99_us\": ";
-      writeJsonNumber(OS, H.P99);
-      OS << "}";
-      First = false;
-    }
-  OS << "]}";
 }
 
 void CompileServer::writeRecentJson(std::ostream &OS, size_t N) const {
@@ -533,9 +476,12 @@ void CompileServer::writeRecentJson(std::ostream &OS, size_t N) const {
 }
 
 void CompileServer::flushMetrics() {
-  if (!Opts.Metrics)
-    return;
-  SM.flush(*Opts.Metrics, Queue, Workers);
+  if (Opts.Metrics)
+    flushMetricsInto(*Opts.Metrics);
+}
+
+void CompileServer::flushMetricsInto(MetricsRegistry &M) const {
+  SM.flush(M, Queue, Workers, Recorder);
   if (Opts.Cache)
-    Opts.Cache->flushMetrics(*Opts.Metrics);
+    Opts.Cache->flushMetrics(M);
 }

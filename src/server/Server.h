@@ -85,8 +85,9 @@ struct ServerOptions {
   /// Shared result cache; null disables caching (every request is a
   /// tier=miss compile).
   ResultCache *Cache = nullptr;
-  /// Registry for server.* series and latency histograms; null disables
-  /// metrics entirely.
+  /// Registry for server.* series and latency histograms, and the body of
+  /// `dra-ctl-v1 stats`. Null records no histograms; `stats` then answers
+  /// with a snapshot of the counters and gauges alone.
   MetricsRegistry *Metrics = nullptr;
   /// Flight-recorder capacity (last-N request records served by
   /// `dra-ctl-v1 recent`). 0 disables the recorder; per-request span
@@ -136,7 +137,8 @@ public:
 
   /// Snapshots server.* counters/gauges (and the cache's, if wired) into
   /// the registry. Safe to call repeatedly and concurrently with serving —
-  /// this is the periodic `--metrics-interval` export.
+  /// this is the periodic `--metrics-interval` export, and every `stats`
+  /// control request runs it too.
   void flushMetrics();
 
   const ServerMetrics &serverMetrics() const { return SM; }
@@ -158,7 +160,7 @@ private:
   CompileResponse compileAdmitted(const Function &F, const PipelineConfig &C,
                                   double &QueueUs, double &CompileUs);
   CompileResponse handleControl(const std::string &Payload);
-  void writeStatsJson(std::ostream &OS) const;
+  void flushMetricsInto(MetricsRegistry &M) const;
   void writeRecentJson(std::ostream &OS, size_t N) const;
 
   ServerOptions Opts;

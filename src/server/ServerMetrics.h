@@ -7,11 +7,11 @@
 /// \file
 /// The compile server's dra-metrics-v1 surface. Two kinds of series:
 ///
-///  * **Live histograms** — `server.latency_us{tier=hit_mem|hit_disk|miss}`
-///    (request service time by cache tier) and `server.frame_us` (wire
-///    round-trip including framing) are observed into the shared registry
-///    at event time; histogram samples only accumulate, so the periodic
-///    export just re-serializes them.
+///  * **Live histograms** — `server.latency_us{tier=hit_mem|hit_disk|miss|
+///    error|shed}` (request service time by cache tier, or by outcome for
+///    failures) is observed into the shared registry at event time;
+///    histogram samples only accumulate, so the periodic export just
+///    re-serializes them.
 ///  * **Snapshot counters/gauges** — connection/request/shed/error totals
 ///    live in atomics owned by ServerMetrics and are written into the
 ///    registry with MetricsRegistry::setCount on every flush() (absolute
@@ -32,7 +32,9 @@
 ///             trace.slow_requests
 ///   gauges:   server.queue_depth, server.queue_limit, server.workers,
 ///             server.connections_open (connection threads not yet
-///             joined)
+///             joined), trace.flight_capacity, trace.flight_recorded,
+///             trace.slow_threshold_us (the flight recorder's size, fill
+///             and slow threshold)
 ///
 /// The trace.* series cover request-scoped tracing: how many requests
 /// opted in (`traceid=` on the wire), how many spans were collected, how
@@ -40,12 +42,18 @@
 /// a dropped span means the cap is too small for real workloads), and how
 /// many requests crossed the flight recorder's slow threshold.
 ///
+/// `dra-ctl-v1 stats` answers with the whole registry these series flush
+/// into (cache.* and portfolio.* included) as the dra-metrics-v1 document
+/// `--metrics-out` writes, so a series added here shows up in dra-top
+/// with no change there.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DRA_SERVER_SERVERMETRICS_H
 #define DRA_SERVER_SERVERMETRICS_H
 
 #include "driver/Metrics.h"
+#include "server/FlightRecorder.h"
 #include "server/RequestQueue.h"
 
 #include <atomic>
@@ -83,9 +91,10 @@ public:
 
   /// Snapshots every counter/gauge series into \p M (absolute values; safe
   /// to call repeatedly), including the admission queue's totals and its
-  /// instantaneous depth. Every series is written even at zero.
-  void flush(MetricsRegistry &M, const AdmissionQueue &Q,
-             unsigned Workers) const {
+  /// instantaneous depth and the flight recorder's fill. Every series is
+  /// written even at zero.
+  void flush(MetricsRegistry &M, const AdmissionQueue &Q, unsigned Workers,
+             const FlightRecorder &Recorder) const {
     M.setCount("server.connections", double(Connections.load()));
     M.setCount("server.requests", double(Requests.load()));
     M.setCount("server.ctl_requests", double(CtlRequests.load()));
@@ -104,6 +113,9 @@ public:
     M.gauge("server.queue_limit", double(Q.limit()));
     M.gauge("server.workers", double(Workers));
     M.gauge("server.connections_open", double(ConnectionsOpen.load()));
+    M.gauge("trace.flight_capacity", double(Recorder.capacity()));
+    M.gauge("trace.flight_recorded", double(Recorder.recorded()));
+    M.gauge("trace.slow_threshold_us", double(Recorder.slowThresholdUs()));
   }
 };
 

@@ -78,13 +78,6 @@ TEST(Rng, NextDoubleUnitInterval) {
   }
 }
 
-TEST(Rng, PickWeightedRespectsZeros) {
-  Rng R(21);
-  std::vector<double> W = {0.0, 1.0, 0.0};
-  for (int I = 0; I != 100; ++I)
-    EXPECT_EQ(R.pickWeighted(W), 1u);
-}
-
 TEST(Rng, ShufflePreservesElements) {
   Rng R(31);
   std::vector<int> V = {1, 2, 3, 4, 5, 6, 7};
@@ -118,37 +111,6 @@ TEST(BitVector, ResizeWithValue) {
   EXPECT_EQ(BV.count(), 5u);
 }
 
-TEST(BitVector, UnionChanges) {
-  BitVector A(70), B(70);
-  A.set(1);
-  B.set(65);
-  EXPECT_TRUE(A.unionWith(B));
-  EXPECT_TRUE(A.test(65));
-  EXPECT_FALSE(A.unionWith(B)); // No change the second time.
-}
-
-TEST(BitVector, SubtractAndIntersect) {
-  BitVector A(70), B(70);
-  for (size_t I : {3ul, 20ul, 66ul})
-    A.set(I);
-  B.set(20);
-  BitVector C = A;
-  C.subtract(B);
-  EXPECT_TRUE(C.test(3));
-  EXPECT_FALSE(C.test(20));
-  A.intersectWith(B);
-  EXPECT_EQ(A.count(), 1u);
-  EXPECT_TRUE(A.test(20));
-}
-
-TEST(BitVector, AnyCommon) {
-  BitVector A(70), B(70);
-  A.set(69);
-  EXPECT_FALSE(A.anyCommon(B));
-  B.set(69);
-  EXPECT_TRUE(A.anyCommon(B));
-}
-
 TEST(BitVector, FindNextAndForEach) {
   BitVector BV(200);
   BV.set(0);
@@ -172,25 +134,11 @@ TEST(BitVector, NoneAndClear) {
   EXPECT_TRUE(BV.none());
 }
 
-TEST(Statistics, Mean) {
-  EXPECT_DOUBLE_EQ(mean({}), 0.0);
-  EXPECT_DOUBLE_EQ(mean({2, 4, 6}), 4.0);
-}
-
-TEST(Statistics, Geomean) {
-  EXPECT_DOUBLE_EQ(geomean({4, 16}), 8.0);
-}
-
 TEST(Statistics, Percentile) {
   std::vector<double> V = {1, 2, 3, 4, 5};
   EXPECT_DOUBLE_EQ(percentile(V, 0), 1.0);
   EXPECT_DOUBLE_EQ(percentile(V, 50), 3.0);
   EXPECT_DOUBLE_EQ(percentile(V, 100), 5.0);
-}
-
-TEST(Statistics, Stddev) {
-  EXPECT_DOUBLE_EQ(stddev({5}), 0.0);
-  EXPECT_NEAR(stddev({2, 4, 4, 4, 5, 5, 7, 9}), 2.138, 0.001);
 }
 
 //===----------------------------------------------------------------------===//

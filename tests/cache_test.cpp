@@ -94,22 +94,6 @@ TEST(CacheKey, ContentAddressedIgnoresName) {
   EXPECT_EQ(ResultCache::cacheKey(A, C), ResultCache::cacheKey(B, C));
 }
 
-TEST(CacheKey, SchemeDecidedDiffAwareIsNotPartOfTheKey) {
-  // runOnce sets Coalesce.DiffAware from the scheme (false for O-spill,
-  // true for Coalesce), so the config's value cannot change a result and
-  // must not split the cache.
-  Function A = testProgram(2);
-  for (Scheme S : {Scheme::OSpill, Scheme::Coalesce}) {
-    SCOPED_TRACE(schemeName(S));
-    PipelineConfig On = smallConfig(S);
-    PipelineConfig Off = On;
-    Off.Coalesce.DiffAware = !On.Coalesce.DiffAware;
-    EXPECT_EQ(ResultCache::cacheKey(A, On), ResultCache::cacheKey(A, Off));
-    EXPECT_EQ(ResultCache::serializeResult(runPipeline(A, On)),
-              ResultCache::serializeResult(runPipeline(A, Off)));
-  }
-}
-
 TEST(CacheKey, BodyAndConfigChangesChangeTheKey) {
   Function A = testProgram(1);
   PipelineConfig C = smallConfig();
@@ -130,9 +114,6 @@ TEST(CacheKey, BodyAndConfigChangesChangeTheKey) {
   EXPECT_NE(ResultCache::cacheKey(A, C2), Base);
   C2 = C;
   C2.Remap.Seed ^= 1;
-  EXPECT_NE(ResultCache::cacheKey(A, C2), Base);
-  C2 = C;
-  C2.Coalesce.MaxSteps += 1;
   EXPECT_NE(ResultCache::cacheKey(A, C2), Base);
 }
 

@@ -111,9 +111,7 @@ TEST(DiffCoalesce, NonDiffModeIgnoresAdjacency) {
   Function F = pressureProgram(7, 10);
   optimalSpill(F, 8);
   ExecResult Before = interpret(F);
-  CoalesceOptions O;
-  O.DiffAware = false;
-  CoalesceResult R = coalesceAndColor(F, C, O);
+  CoalesceResult R = coalesceAndColor(F, C, /*DiffAware=*/false);
   ASSERT_TRUE(R.Success);
   EXPECT_EQ(F.NumRegs, 8u);
   EXPECT_EQ(fingerprint(interpret(F)), fingerprint(Before));

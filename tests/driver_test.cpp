@@ -8,7 +8,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "adt/Rng.h"
-#include "adt/Statistics.h"
 #include "driver/BatchCompiler.h"
 #include "driver/Json.h"
 #include "driver/ThreadPool.h"
@@ -244,7 +243,7 @@ TEST(ThreadPool, SubmitAndParallelForCoexist) {
 }
 
 //===----------------------------------------------------------------------===//
-// Rng task seeding & StatAccumulator (thread-safety satellites)
+// Rng task seeding
 //===----------------------------------------------------------------------===//
 
 TEST(Rng, TaskSeedIsPureAndDecorrelated) {
@@ -257,31 +256,6 @@ TEST(Rng, TaskSeedIsPureAndDecorrelated) {
   // Streams from adjacent tasks diverge immediately.
   Rng A = Rng::forTask(42, 0), B = Rng::forTask(42, 1);
   EXPECT_NE(A.next(), B.next());
-}
-
-TEST(StatAccumulator, ConcurrentAddsAreLossless) {
-  StatAccumulator Acc;
-  ThreadPool Pool(4);
-  constexpr size_t N = 20000;
-  Pool.parallelFor(N, [&](size_t I) {
-    Acc.add(static_cast<double>(I % 10));
-  });
-  EXPECT_EQ(Acc.count(), N);
-  EXPECT_DOUBLE_EQ(Acc.sum(), static_cast<double>(N / 10) * 45.0);
-}
-
-TEST(StatAccumulator, SamplesAreSortedAndMergeable) {
-  StatAccumulator A, B;
-  A.add(3);
-  A.add(1);
-  B.add(2);
-  A.merge(B);
-  std::vector<double> S = A.samples();
-  ASSERT_EQ(S.size(), 3u);
-  EXPECT_EQ(S[0], 1);
-  EXPECT_EQ(S[1], 2);
-  EXPECT_EQ(S[2], 3);
-  EXPECT_DOUBLE_EQ(A.mean(), 2.0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -308,11 +282,9 @@ void expectIdenticalResults(const std::vector<PipelineResult> &A,
 
 std::vector<PipelineResult> compileWithJobs(const std::vector<Function> &Fns,
                                             const PipelineConfig &C,
-                                            unsigned Jobs,
-                                            bool PerTaskSeeds = false) {
+                                            unsigned Jobs) {
   BatchOptions BO;
   BO.Jobs = Jobs;
-  BO.PerTaskSeeds = PerTaskSeeds;
   BatchCompiler Batch(BO);
   return Batch.run(Fns, C);
 }
@@ -332,13 +304,6 @@ TEST(BatchCompiler, SelectSchemeIsDeterministicToo) {
   C.S = Scheme::Select;
   expectIdenticalResults(compileWithJobs(Corpus, C, 1),
                          compileWithJobs(Corpus, C, 4));
-}
-
-TEST(BatchCompiler, PerTaskSeedsDependOnIndexNotSchedule) {
-  std::vector<Function> Corpus = testCorpus(6);
-  PipelineConfig C = coalesceConfig();
-  expectIdenticalResults(compileWithJobs(Corpus, C, 1, true),
-                         compileWithJobs(Corpus, C, 4, true));
 }
 
 TEST(BatchCompiler, PerConfigBatchMatchesIndividualRuns) {

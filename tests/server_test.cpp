@@ -35,6 +35,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,6 +46,15 @@
 using namespace dra;
 
 namespace {
+
+/// Reads a `stats` control body, which is a dra-metrics-v1 document.
+MetricsFileData loadStats(const std::string &Body) {
+  MetricsFileData Stats;
+  std::istringstream In(Body);
+  std::string Err;
+  EXPECT_TRUE(loadMetricsJson(In, Stats, &Err)) << Err;
+  return Stats;
+}
 
 const char *TinyFunc = "func tiny regs=8 mem=8 spills=0\n"
                        "bb0:\n"
@@ -1078,21 +1088,18 @@ TEST(CompileServer, ControlRequestsAnswerWithoutCompiling) {
   Ctl.Cmd = "stats";
   ASSERT_TRUE(transactCtl(Fd, Ctl, Resp, &Err)) << Err;
   ASSERT_EQ(ResponseStatus::Ok, Resp.Status);
-  JsonValue Stats;
-  ASSERT_TRUE(parseJson(Resp.Body, Stats, &Err)) << Err;
-  const JsonValue *Srv = Stats.field("server");
-  ASSERT_NE(nullptr, Srv);
-  EXPECT_EQ(1.0, Srv->field("requests")->Num); // ctl is not a request
-  EXPECT_GE(Srv->field("ctl_requests")->Num, 2.0);
-  const JsonValue *Trace = Stats.field("trace");
-  ASSERT_NE(nullptr, Trace);
-  EXPECT_EQ(0.0, Trace->field("dropped_spans")->Num);
-  const JsonValue *Tiers = Stats.field("tiers");
-  ASSERT_NE(nullptr, Tiers);
-  ASSERT_EQ(JsonValue::Array, Tiers->K);
-  ASSERT_EQ(1u, Tiers->Arr.size());
-  EXPECT_EQ("miss", Tiers->Arr[0].field("tier")->Str);
-  EXPECT_EQ(1.0, Tiers->Arr[0].field("count")->Num);
+  MetricsFileData Stats = loadStats(Resp.Body);
+  EXPECT_EQ(1.0, Stats.Counters["server.requests"]); // ctl is not one
+  EXPECT_GE(Stats.Counters["server.ctl_requests"], 2.0);
+  ASSERT_EQ(1u, Stats.Counters.count("trace.dropped_spans"));
+  EXPECT_EQ(0.0, Stats.Counters["trace.dropped_spans"]);
+  std::vector<std::string> LatencySeries;
+  for (const auto &[Key, H] : Stats.Histograms)
+    if (Key.rfind("server.latency_us", 0) == 0)
+      LatencySeries.push_back(Key);
+  ASSERT_EQ(std::vector<std::string>{"server.latency_us{tier=miss}"},
+            LatencySeries);
+  EXPECT_EQ(1.0, Stats.Histograms["server.latency_us{tier=miss}"].Count);
 
   Ctl.Cmd = "recent";
   Ctl.RecentN = 8;
@@ -1117,6 +1124,62 @@ TEST(CompileServer, ControlRequestsAnswerWithoutCompiling) {
   Server.stop();
   EXPECT_EQ(1u, Server.serverMetrics().Requests.load());
   EXPECT_EQ(4u, Server.serverMetrics().CtlRequests.load());
+}
+
+TEST(CompileServer, StatsIsTheRegistryDocument) {
+  // The stats body is the registry --metrics-out writes, so series that
+  // other layers observe (here the cache's probe times) appear in it.
+  MetricsRegistry Metrics;
+  ResultCache Cache;
+  Cache.setMetrics(&Metrics);
+  ServerOptions SO;
+  SO.SocketPath = "server_test_stats_doc.sock"; // unused: direct calls
+  SO.Workers = 1;
+  SO.Cache = &Cache;
+  SO.Metrics = &Metrics;
+  CompileServer Server(SO);
+  const std::string Payload = encodeRequest(tinyRequest());
+  ASSERT_EQ("miss", Server.handleRequest(Payload).Tier);
+  ASSERT_EQ("hit_mem", Server.handleRequest(Payload).Tier);
+
+  CtlRequest Ctl;
+  Ctl.Cmd = "stats";
+  CompileResponse Resp = Server.handleRequest(encodeCtlRequest(Ctl));
+  ASSERT_EQ(ResponseStatus::Ok, Resp.Status);
+  std::ostringstream Direct;
+  Metrics.writeJson(Direct);
+  EXPECT_EQ(Direct.str(), Resp.Body);
+
+  MetricsFileData Stats = loadStats(Resp.Body);
+  ASSERT_EQ(1u, Stats.Histograms.count("cache.hit_us{tier=mem}"));
+  EXPECT_EQ(1.0, Stats.Histograms["cache.hit_us{tier=mem}"].Count);
+  EXPECT_EQ(1.0, Stats.Histograms["server.latency_us{tier=hit_mem}"].Count);
+  EXPECT_EQ(1.0, Stats.Counters["cache.hits_mem"]);
+  EXPECT_EQ(1.0, Stats.Counters["server.index_hits"]);
+  EXPECT_EQ(1.0, Stats.Gauges["server.workers"]);
+  EXPECT_EQ(double(SO.FlightRecorderSize),
+            Stats.Gauges["trace.flight_capacity"]);
+  EXPECT_EQ(2.0, Stats.Gauges["trace.flight_recorded"]);
+  EXPECT_EQ(double(SO.SlowRequestUs), Stats.Gauges["trace.slow_threshold_us"]);
+}
+
+TEST(CompileServer, StatsWithoutARegistryAnswersTheSnapshot) {
+  ServerOptions SO;
+  SO.SocketPath = "server_test_stats_local.sock"; // unused: direct calls
+  SO.Workers = 1;
+  CompileServer Server(SO);
+  ASSERT_EQ(ResponseStatus::Ok,
+            Server.handleRequest(encodeRequest(tinyRequest())).Status);
+
+  CtlRequest Ctl;
+  Ctl.Cmd = "stats";
+  CompileResponse Resp = Server.handleRequest(encodeCtlRequest(Ctl));
+  ASSERT_EQ(ResponseStatus::Ok, Resp.Status);
+  MetricsFileData Stats = loadStats(Resp.Body);
+  EXPECT_EQ(1.0, Stats.Counters["server.requests"]);
+  EXPECT_EQ(1.0, Stats.Counters["server.ctl_requests"]);
+  EXPECT_EQ(1.0, Stats.Gauges["trace.flight_recorded"]);
+  EXPECT_TRUE(Stats.Histograms.empty()); // nothing observes without one
 }
 
 TEST(CompileServer, TracedRequestEchoesSpanSummary) {
@@ -1589,9 +1652,9 @@ TEST(CompileServer, ClosedConnectionThreadsAreJoined) {
     std::string Err;
     ASSERT_TRUE(transactCtl(Fd, Ctl, Resp, &Err)) << Err;
     close(Fd);
-    JsonValue Stats;
-    ASSERT_TRUE(parseJson(Resp.Body, Stats, &Err)) << Err;
-    Open = Stats.field("server")->field("connections_open")->Num;
+    MetricsFileData Stats = loadStats(Resp.Body);
+    ASSERT_EQ(1u, Stats.Gauges.count("server.connections_open"));
+    Open = Stats.Gauges["server.connections_open"];
     if (Open > 1)
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
   } while (Open > 1 && std::chrono::steady_clock::now() < Deadline);

@@ -7,10 +7,10 @@
 // stdin (`-`), compiles them through one allocation pipeline on the
 // parallel batch driver, and emits a report: a per-file summary and a
 // per-stage table on stdout, optional simulated cycles, binary sizes and
-// machine code per file, an aggregate JSON report (--json-out), and a
-// Chrome trace-event timeline (--trace-out) with one span per function and
-// its pipeline stages nested inside, viewable in chrome://tracing or
-// https://ui.perfetto.dev.
+// machine code per file, the run's metrics registry as dra-metrics-v1
+// (--metrics-out), and a Chrome trace-event timeline (--trace-out) with
+// one span per function and its pipeline stages nested inside, viewable
+// in chrome://tracing or https://ui.perfetto.dev.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +30,6 @@
 #include "sim/LowEndSim.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -72,9 +71,7 @@ const char *UsageText =
     "  --cleanup          run fold/simplify/DCE before allocation (and\n"
     "                     before the reference run)\n"
     "  --jobs=N           pool workers (default 0 = hardware concurrency)\n"
-    "  --per-task-seeds   decorrelate remap RNG streams per input\n"
     "  --trace-out=FILE   Chrome trace-event JSON (chrome://tracing)\n"
-    "  --json-out=FILE    aggregate counters + per-stage timing JSON\n"
     "  --metrics-out=FILE allocator-deep metrics (per-function counters,\n"
     "                     gauges, stage histograms) as dra-metrics-v1\n"
     "                     JSON; compare runs with dra-stats\n"
@@ -124,7 +121,6 @@ struct Options {
   unsigned DiffW = 3;
   unsigned RemapStarts = 200;
   unsigned Jobs = 0;
-  bool PerTaskSeeds = false;
   bool Adaptive = false;
   bool Cleanup = false;
   bool Simulate = false;
@@ -132,7 +128,6 @@ struct Options {
   bool PrintCode = false;
   bool Help = false;
   std::string TraceOut;
-  std::string JsonOut;
   std::string MetricsOut;
   std::string CacheDir;
   unsigned CacheMemMb = 64;
@@ -178,8 +173,6 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
         return false;
     } else if (const char *V = Value("--trace-out=")) {
       O.TraceOut = V;
-    } else if (const char *V = Value("--json-out=")) {
-      O.JsonOut = V;
     } else if (const char *V = Value("--metrics-out=")) {
       O.MetricsOut = V;
     } else if (const char *V = Value("--cache-dir=")) {
@@ -217,8 +210,6 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
       }
     } else if (const char *V = Value("--portfolio-train=")) {
       O.PortfolioTrain = V;
-    } else if (Arg == "--per-task-seeds") {
-      O.PerTaskSeeds = true;
     } else if (Arg == "--adaptive") {
       O.Adaptive = true;
     } else if (Arg == "--cleanup") {
@@ -280,7 +271,6 @@ int runTrainSweep(const Options &O, const PipelineConfig &Base,
   const std::vector<PortfolioArm> Arms = defaultPortfolioArms();
   BatchOptions BO;
   BO.Jobs = O.Jobs;
-  BO.PerTaskSeeds = O.PerTaskSeeds;
   BatchCompiler Batch(BO);
 
   bool AllOk = true;
@@ -368,50 +358,6 @@ stageRows(const MetricsRegistry &M) {
         if (Key == "stage")
           Rows[Value] = H;
   return Rows;
-}
-
-/// The --json-out counters, in key order, and the registry series each
-/// one totals across labels.
-const std::pair<const char *, const char *> ReportCounters[] = {
-    {"alloc_iterations", "alloc.rounds"},
-    {"code_bytes", "pipeline.code_bytes"},
-    {"coalesce_steps", "coalesce.steps"},
-    {"encode_fields", "encode.fields"},
-    {"functions", "pipeline.functions"},
-    {"insts", "pipeline.insts"},
-    {"ospill_rounds", "ospill.rounds"},
-    {"set_last_regs", "pipeline.set_last_regs"},
-    {"spill_insts", "pipeline.spill_insts"},
-};
-
-/// The --json-out report: batch counters plus the stage table's rows.
-void writeReport(std::ostream &OS, const MetricsRegistry &M) {
-  std::map<std::string, double> Totals;
-  for (const MetricsRegistry::CounterSample &C : M.counters())
-    Totals[C.Name] += C.Value;
-  OS << "{\n  \"counters\": {";
-  const char *Sep = "";
-  for (const auto &[Key, Series] : ReportCounters) {
-    OS << Sep << "\n    \"" << Key << "\": ";
-    writeJsonNumber(OS, Totals[Series]);
-    Sep = ",";
-  }
-  OS << "\n  },\n  \"stages\": {";
-  Sep = "";
-  for (const auto &[Name, H] : stageRows(M)) {
-    OS << Sep << "\n    \"" << jsonEscape(Name) << "\": {\"count\": "
-       << H.Count << ", \"total_us\": ";
-    writeJsonNumber(OS, std::round(H.Sum));
-    OS << ", \"mean_us\": ";
-    writeJsonNumber(OS, H.Sum / static_cast<double>(H.Count));
-    OS << ", \"min_us\": ";
-    writeJsonNumber(OS, std::round(H.Min));
-    OS << ", \"max_us\": ";
-    writeJsonNumber(OS, std::round(H.Max));
-    OS << "}";
-    Sep = ",";
-  }
-  OS << "\n  }\n}\n";
 }
 
 } // namespace
@@ -521,8 +467,8 @@ int main(int Argc, char **Argv) {
   if (!O.PortfolioTrain.empty())
     return runTrainSweep(O, Config, Files, Functions, RefFp);
 
-  // The registry backs the stage table and --json-out as well as
-  // --metrics-out; a batch trace keeps every span.
+  // The registry backs the stage table as well as --metrics-out; a batch
+  // trace keeps every span.
   MetricsRegistry Metrics;
   Config.Metrics = &Metrics;
   TraceContext Trace(/*Id=*/1, SIZE_MAX);
@@ -539,7 +485,6 @@ int main(int Argc, char **Argv) {
   }
   BatchOptions BO;
   BO.Jobs = O.Jobs;
-  BO.PerTaskSeeds = O.PerTaskSeeds;
   BO.Cache = Cache.get();
   BatchCompiler Batch(BO);
 
@@ -635,15 +580,6 @@ int main(int Argc, char **Argv) {
     }
     writeChromeTrace(Out, Trace, "dra-batch");
     std::fprintf(stderr, "trace written to %s\n", O.TraceOut.c_str());
-  }
-  if (!O.JsonOut.empty()) {
-    std::ofstream Out(O.JsonOut);
-    if (!Out) {
-      std::fprintf(stderr, "error: cannot write '%s'\n", O.JsonOut.c_str());
-      return 1;
-    }
-    writeReport(Out, Metrics);
-    std::fprintf(stderr, "report written to %s\n", O.JsonOut.c_str());
   }
   if (!O.MetricsOut.empty()) {
     std::string Err;

@@ -4,23 +4,28 @@
 //
 // Polls a running dra-server over dra-ctl-v1 control requests (answered
 // from in-memory state, never the compile path) and renders a live view:
-// request throughput, per-tier latency percentiles, trace counters, and
-// the flight recorder's most recent requests — slow ones flagged. With
-// --json it takes a single snapshot and prints the raw stats + recent
-// bodies as one JSON document for scripting.
+// request throughput, the server's counters, one latency row per
+// histogram series of its metrics registry, trace counters, and the
+// flight recorder's most recent requests — slow ones flagged. The stats
+// body is the server's dra-metrics-v1 document, read with the same
+// loadMetricsJson dra-stats uses, so a series the server adds shows up
+// here unchanged. With --json it takes a single snapshot and prints the
+// raw health + stats + recent bodies as one JSON document for scripting.
 //
 //===----------------------------------------------------------------------===//
 
 #include "CliNum.h"
 
 #include "driver/Json.h"
+#include "driver/Metrics.h"
 #include "server/Protocol.h"
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
+#include <sstream>
 #include <string>
-#include <vector>
 
 #include <signal.h>
 #include <time.h>
@@ -34,11 +39,13 @@ const char *UsageText =
     "usage: dra-top --socket=PATH [options]\n"
     "\n"
     "Live introspection for a running dra-server. Sends dra-ctl-v1\n"
-    "control requests ('stats' and 'recent') over the compile socket —\n"
-    "the server answers them from in-memory state without touching the\n"
-    "compile path — and renders throughput, the per-tier latency mix\n"
-    "(including the error/shed tiers), trace counters, and the flight\n"
-    "recorder's most recent requests, slow ones flagged with '!'.\n"
+    "control requests ('health', 'stats' and 'recent') over the compile\n"
+    "socket — the server answers them from in-memory state without\n"
+    "touching the compile path — and renders throughput, counters, one\n"
+    "latency row per histogram series of the server's dra-metrics-v1\n"
+    "stats document (the per-tier mix including the error/shed tiers,\n"
+    "cache probe times, ...), trace counters, and the flight recorder's\n"
+    "most recent requests, slow ones flagged with '!'.\n"
     "\n"
     "options:\n"
     "  --socket=PATH     server unix socket (required)\n"
@@ -47,10 +54,10 @@ const char *UsageText =
     "                    the server goes away)\n"
     "  --recent=N        recent-request rows to show (default 16)\n"
     "  --json            single snapshot, printed as one JSON document\n"
-    "                    {\"mono_us\": ..., \"stats\": ..., \"recent\":\n"
-    "                    ...} — the control bodies verbatim (raw\n"
-    "                    counters) plus a client monotonic timestamp;\n"
-    "                    for scripting and CI\n"
+    "                    {\"mono_us\": ..., \"health\": ..., \"stats\":\n"
+    "                    ..., \"recent\": ...} — the control bodies\n"
+    "                    verbatim (stats is dra-metrics-v1) plus a client\n"
+    "                    monotonic timestamp; for scripting and CI\n"
     "  --help            show this text\n"
     "\n"
     "exit status: 0 on success, 1 when the server cannot be reached or\n"
@@ -142,30 +149,38 @@ uint64_t monotonicUs() {
          static_cast<uint64_t>(Ts.tv_nsec) / 1000u;
 }
 
-/// Renders one frame from the parsed stats/recent documents.
-/// \p PrevRequests / \p PrevUptimeUs are the server.requests and
-/// server.uptime_us of the previous frame (negative on the first one,
-/// which suppresses the rate). The rate divides the request delta by the
+/// The value of series \p Name, 0 when the document does not carry it.
+double seriesValue(const std::map<std::string, double> &Series,
+                   const char *Name) {
+  auto It = Series.find(Name);
+  return It == Series.end() ? 0 : It->second;
+}
+
+/// Renders one frame from the health, stats and recent documents.
+/// \p PrevRequests / \p PrevUptimeUs are the server.requests and health
+/// uptime_us of the previous frame (negative on the first one, which
+/// suppresses the rate). The rate divides the request delta by the
 /// *server's* elapsed uptime, so an interrupted sleep or a wall-clock
 /// step cannot skew it; when the elapsed time is zero/near-zero or any
 /// counter went backwards (server restarted behind the same socket), the
 /// rate renders as '-' instead of inf/nan or a negative surprise.
-void render(const JsonValue &Stats, const JsonValue &Recent,
-            double PrevRequests, double PrevUptimeUs) {
-  const JsonValue *Server = Stats.field("server");
-  const JsonValue *Trace = Stats.field("trace");
-  const JsonValue *Tiers = Stats.field("tiers");
-  if (!Server || !Trace)
-    return;
+void render(const JsonValue &Health, const MetricsFileData &Stats,
+            const JsonValue &Recent, double PrevRequests,
+            double PrevUptimeUs) {
+  auto Counter = [&](const char *Name) {
+    return seriesValue(Stats.Counters, Name);
+  };
+  auto Gauge = [&](const char *Name) {
+    return seriesValue(Stats.Gauges, Name);
+  };
 
-  double Requests = numField(*Server, "requests");
-  double UptimeUs = numField(*Server, "uptime_us");
+  double Requests = Counter("server.requests");
+  double UptimeUs = numField(Health, "uptime_us");
   std::printf("dra-top — pid %.0f, up %.1f s, %.0f worker(s), queue "
               "%.0f/%.0f\n",
-              numField(*Server, "pid"), UptimeUs / 1e6,
-              numField(*Server, "workers"),
-              numField(*Server, "queue_depth"),
-              numField(*Server, "queue_limit"));
+              numField(Health, "pid"), UptimeUs / 1e6,
+              Gauge("server.workers"), Gauge("server.queue_depth"),
+              Gauge("server.queue_limit"));
   std::printf("  requests %.0f", Requests);
   if (PrevRequests >= 0) {
     double ElapsedUs = UptimeUs - PrevUptimeUs;
@@ -177,33 +192,30 @@ void render(const JsonValue &Stats, const JsonValue &Recent,
       std::printf(" (-/s)");
   }
   std::printf("   ctl %.0f   shed %.0f   errors %.0f   bad frames %.0f\n",
-              numField(*Server, "ctl_requests"), numField(*Server, "shed"),
-              numField(*Server, "errors"), numField(*Server, "bad_frames"));
+              Counter("server.ctl_requests"), Counter("server.shed"),
+              Counter("server.errors"), Counter("server.bad_frames"));
   // Share of requests the request index answered without a parse.
-  const double IndexHits = numField(*Server, "index_hits");
-  const double IndexLookups = IndexHits + numField(*Server, "index_misses");
+  const double IndexHits = Counter("server.index_hits");
+  const double IndexLookups = IndexHits + Counter("server.index_misses");
   std::printf("  index: %.1f%% hit (%.0f of %.0f), %.0f mismatch(es)   "
               "connections open %.0f\n",
               IndexLookups > 0 ? 100.0 * IndexHits / IndexLookups : 0.0,
-              IndexHits, IndexLookups, numField(*Server, "index_mismatches"),
-              numField(*Server, "connections_open"));
+              IndexHits, IndexLookups, Counter("server.index_mismatches"),
+              Gauge("server.connections_open"));
   std::printf("  trace: %.0f traced, %.0f span(s), %.0f dropped, %.0f "
               "slow (>= %.0f us), flight %.0f/%.0f\n",
-              numField(*Trace, "requests"), numField(*Trace, "spans"),
-              numField(*Trace, "dropped_spans"),
-              numField(*Trace, "slow_requests"),
-              numField(*Trace, "slow_threshold_us"),
-              numField(*Trace, "flight_recorded"),
-              numField(*Trace, "flight_capacity"));
+              Counter("trace.requests"), Counter("trace.spans"),
+              Counter("trace.dropped_spans"), Counter("trace.slow_requests"),
+              Gauge("trace.slow_threshold_us"),
+              Gauge("trace.flight_recorded"), Gauge("trace.flight_capacity"));
 
-  if (Tiers && Tiers->K == JsonValue::Array && !Tiers->Arr.empty()) {
-    std::printf("\n  %-10s %8s %10s %10s %10s %10s\n", "tier", "count",
-                "p50_us", "p90_us", "p99_us", "max_us");
-    for (const JsonValue &T : Tiers->Arr)
-      std::printf("  %-10s %8.0f %10.1f %10.1f %10.1f %10.1f\n",
-                  strField(T, "tier").c_str(), numField(T, "count"),
-                  numField(T, "p50_us"), numField(T, "p90_us"),
-                  numField(T, "p99_us"), numField(T, "max_us"));
+  // One row per histogram series, named as dra-stats names it.
+  if (!Stats.Histograms.empty()) {
+    std::printf("\n  %-34s %8s %10s %10s %10s %10s\n", "series", "count",
+                "p50", "p90", "p99", "max");
+    for (const auto &[Key, H] : Stats.Histograms)
+      std::printf("  %-34s %8.0f %10.1f %10.1f %10.1f %10.1f\n",
+                  Key.c_str(), H.Count, H.P50, H.P90, H.P99, H.Max);
   }
 
   const JsonValue *Records = Recent.field("records");
@@ -254,8 +266,9 @@ int main(int Argc, char **Argv) {
   }
 
   if (O.Json) {
-    std::string Stats, Recent;
-    if (!fetch(Fd, "stats", O.RecentN, Stats) ||
+    std::string Health, Stats, Recent;
+    if (!fetch(Fd, "health", O.RecentN, Health) ||
+        !fetch(Fd, "stats", O.RecentN, Stats) ||
         !fetch(Fd, "recent", O.RecentN, Recent)) {
       close(Fd);
       return 1;
@@ -264,9 +277,10 @@ int main(int Argc, char **Argv) {
     // Raw control bodies verbatim (all counters untouched) plus a
     // client-side monotonic timestamp so scripts diffing successive
     // snapshots have a wall-clock-step-immune timebase.
-    std::printf("{\"mono_us\": %llu, \"stats\": %s, \"recent\": %s}\n",
+    std::printf("{\"mono_us\": %llu, \"health\": %s, \"stats\": %s, "
+                "\"recent\": %s}\n",
                 static_cast<unsigned long long>(monotonicUs()),
-                Stats.c_str(), Recent.c_str());
+                Health.c_str(), Stats.c_str(), Recent.c_str());
     return 0;
   }
 
@@ -275,15 +289,19 @@ int main(int Argc, char **Argv) {
   for (unsigned Frame = 0; O.Count == 0 || Frame != O.Count; ++Frame) {
     if (Frame != 0)
       sleep(O.IntervalS);
-    std::string StatsBody, RecentBody;
-    if (!fetch(Fd, "stats", O.RecentN, StatsBody) ||
+    std::string HealthBody, StatsBody, RecentBody;
+    if (!fetch(Fd, "health", O.RecentN, HealthBody) ||
+        !fetch(Fd, "stats", O.RecentN, StatsBody) ||
         !fetch(Fd, "recent", O.RecentN, RecentBody)) {
       close(Fd);
       return 1;
     }
-    JsonValue Stats, Recent;
+    JsonValue Health, Recent;
+    MetricsFileData Stats;
+    std::istringstream StatsIn(StatsBody);
     std::string Err;
-    if (!parseJson(StatsBody, Stats, &Err) ||
+    if (!parseJson(HealthBody, Health, &Err) ||
+        !loadMetricsJson(StatsIn, Stats, &Err) ||
         !parseJson(RecentBody, Recent, &Err)) {
       std::fprintf(stderr, "error: bad control body: %s\n", Err.c_str());
       close(Fd);
@@ -293,10 +311,9 @@ int main(int Argc, char **Argv) {
       std::printf("\033[H\033[J"); // home + clear: live refresh in place
     else if (Frame != 0)
       std::printf("\n");
-    render(Stats, Recent, PrevRequests, PrevUptimeUs);
-    const JsonValue *Server = Stats.field("server");
-    PrevRequests = Server ? numField(*Server, "requests") : -1;
-    PrevUptimeUs = Server ? numField(*Server, "uptime_us") : -1;
+    render(Health, Stats, Recent, PrevRequests, PrevUptimeUs);
+    PrevRequests = seriesValue(Stats.Counters, "server.requests");
+    PrevUptimeUs = numField(Health, "uptime_us");
   }
   close(Fd);
   return 0;
