@@ -10,25 +10,31 @@
 //    absent pairs (the George/Briggs adjacency tests);
 //  * simplify: the IRC simplify loop over InterferenceGraph::neighbors
 //    (CSR rows) with IndexSet worklists, taking the minimum node first
-//    exactly as the allocator does.
+//    exactly as the allocator does;
+//  * coalesce probes: production coalesceAndColor (the differential
+//    coalescer of Figure 9 and the O-spill arm's move-cost-only one) on a
+//    seeded medium function already spilled to K = 12, timed per
+//    tentative coalescence probed.
 //
 // Each kernel folds its result into a checksum (degrees, hit counts, pick
-// order) that must equal a recorded constant, so a change to the graph,
-// the probes or the worklist discipline exits 1 instead of timing
-// different work.
+// order, every CoalesceResult counter) that must equal a recorded
+// constant, so a change to the graph, the probes, the worklist discipline
+// or the coalescer's decisions exits 1 instead of timing different work.
 //
 // Workloads are interference graphs of ProgramGen functions (real edge
 // distributions, built through Liveness + InterferenceGraph) plus one
-// larger seeded synthetic graph for scale.
+// larger seeded synthetic graph for scale; the coalesce kernel runs on a
+// jpeg-shaped function of 320-360 instructions, drawn as perfbench draws
+// its medium functions.
 //
 // Modes:
 //  * default: prints a kernel table and writes BENCH_alloc.json in the
 //    working directory;
 //  * --perf-out=DIR: writes DIR/alloc_perf.json with the same gauges.
-//    CI runs dra-stats --fail-on over the three gauges with this file as
+//    CI runs dra-stats --fail-on over the four gauges with this file as
 //    the base and tests/data/ci_alloc_perf_baseline.json as the current
-//    file: build and simplify fail below a third of the checked-in
-//    baseline (:200), adjacency queries below half (:100).
+//    file: build, simplify and coalesce probes fail below a third of the
+//    checked-in baseline (:200), adjacency queries below half (:100).
 //
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +43,10 @@
 #include "adt/IndexSet.h"
 #include "adt/Rng.h"
 #include "analysis/Liveness.h"
+#include "core/DiffCoalesce.h"
+#include "core/OptimalSpill.h"
 #include "regalloc/InterferenceGraph.h"
+#include "workloads/MiBench.h"
 #include "workloads/ProgramGen.h"
 
 #include <algorithm>
@@ -61,6 +70,11 @@ namespace {
 constexpr uint64_t BuildChecksum = 0x305f1dae4049ddb6ull;
 constexpr uint64_t QueryChecksum = 0x08155dd4e9939280ull;
 constexpr uint64_t SimplifyChecksum = 0x1430877b62ba84f0ull;
+/// Every CoalesceResult counter of the coalesce kernel's two runs (DiffAware
+/// on, then off) and the bit patterns of their final adjacency costs.
+/// Recorded on the tree that still copied a fresh MergedGraph for every
+/// probe and colored it with per-node heap vectors.
+constexpr uint64_t CoalesceChecksum = 0xd5abe3fb368199d8ull;
 
 /// One undirected graph as a flat edge list (A < B), node count attached.
 struct EdgeList {
@@ -199,6 +213,39 @@ uint64_t simplifyKernel(const InterferenceGraph &G, unsigned K,
   return H;
 }
 
+/// The coalesce kernel's input: a jpeg-shaped medium function spilled to
+/// K = 12 by optimalSpill, as the Coalesce scheme does before coalescing.
+Function coalesceInput() {
+  Rng R(2024);
+  Function F =
+      generateSizedProgram("coalesce_med", miBenchProfile("jpeg"), R, 320, 360);
+  optimalSpill(F, 12);
+  return F;
+}
+
+/// Kernel 4: production coalesceAndColor on a copy of \p Spilled under
+/// both DiffAware settings. Checksum: every CoalesceResult counter and
+/// the bit pattern of FinalAdjCost, per setting.
+uint64_t coalesceKernel(const Function &Spilled, double &Probes) {
+  const EncodingConfig C = lowEndConfig(12);
+  uint64_t H = 14695981039346656037ull;
+  for (bool DiffAware : {true, false}) {
+    Function F = Spilled;
+    CoalesceResult R = coalesceAndColor(F, C, DiffAware);
+    Probes += static_cast<double>(R.ProbesAttempted);
+    uint64_t CostBits;
+    std::memcpy(&CostBits, &R.FinalAdjCost, sizeof CostBits);
+    for (uint64_t V :
+         {uint64_t(R.MovesCoalesced), uint64_t(R.MovesRemaining),
+          uint64_t(R.ExtraSpilledRanges), CostBits, uint64_t(R.Steps),
+          uint64_t(R.Success), uint64_t(R.OracleCalls),
+          uint64_t(R.ProbesAttempted), uint64_t(R.ProbesUncolorable),
+          uint64_t(R.SpillRestarts)})
+      H = fnv1a(H, V);
+  }
+  return H;
+}
+
 /// One kernel's measurements.
 struct KernelPerf {
   double Seconds = 0;
@@ -207,7 +254,7 @@ struct KernelPerf {
 };
 
 struct AllocPerf {
-  KernelPerf Build, Query, Simplify;
+  KernelPerf Build, Query, Simplify, Coalesce;
 };
 
 /// Exits the process when a kernel's checksum is not the recorded one.
@@ -222,10 +269,10 @@ void checkChecksum(const char *Kernel, uint64_t Got, uint64_t Want) {
   std::exit(1);
 }
 
-/// Runs all three kernels over \p Work; exits the process on any checksum
-/// mismatch.
-AllocPerf measure(const std::vector<EdgeList> &Work, unsigned Reps,
-                  unsigned K) {
+/// Runs the three graph kernels over \p Work and the coalesce kernel over
+/// \p Spilled; exits the process on any checksum mismatch.
+AllocPerf measure(const std::vector<EdgeList> &Work, const Function &Spilled,
+                  unsigned Reps, unsigned CoalesceReps, unsigned K) {
   AllocPerf P;
   auto T0 = std::chrono::steady_clock::now();
   uint64_t H = 0;
@@ -261,6 +308,12 @@ AllocPerf measure(const std::vector<EdgeList> &Work, unsigned Reps,
       H = fnv1a(H, simplifyKernel(G, K, P.Simplify.Units));
   P.Simplify.Seconds = secondsSince(T0);
   checkChecksum("simplify", H, SimplifyChecksum);
+
+  T0 = std::chrono::steady_clock::now();
+  for (unsigned R = 0; R != CoalesceReps; ++R)
+    H = coalesceKernel(Spilled, P.Coalesce.Units);
+  P.Coalesce.Seconds = secondsSince(T0);
+  checkChecksum("coalesce", H, CoalesceChecksum);
   return P;
 }
 
@@ -269,6 +322,7 @@ bool writeGauges(const std::string &Path, const AllocPerf &P) {
   Reg.gauge("alloc.build_edges_per_sec", P.Build.PerSec());
   Reg.gauge("coalesce.adjacency_tests_per_sec", P.Query.PerSec());
   Reg.gauge("alloc.simplify_per_sec", P.Simplify.PerSec());
+  Reg.gauge("coalesce.probes_per_sec", P.Coalesce.PerSec());
   std::string Err;
   if (!Reg.writeJsonFile(Path, &Err)) {
     std::fprintf(stderr, "error: %s\n", Err.c_str());
@@ -301,15 +355,18 @@ int main(int Argc, char **Argv) {
   double TotalEdges = 0;
   for (const EdgeList &E : Work)
     TotalEdges += static_cast<double>(E.Edges.size());
+  const Function Spilled = coalesceInput();
   std::printf("allocator core kernels: %zu graph(s), %.0f edge(s) total, "
-              "checksums verified\n\n",
-              Work.size(), TotalEdges);
+              "%zu-instruction coalesce input, checksums verified\n\n",
+              Work.size(), TotalEdges, Spilled.numInsts());
 
-  const AllocPerf P = measure(Work, /*Reps=*/40, /*K=*/8);
+  const AllocPerf P =
+      measure(Work, Spilled, /*Reps=*/40, /*CoalesceReps=*/3, /*K=*/8);
   std::printf("%-26s %14s\n", "kernel", "per second");
   std::printf("%-26s %14.0f\n", "build (edges)", P.Build.PerSec());
   std::printf("%-26s %14.0f\n", "coalesce query (tests)", P.Query.PerSec());
   std::printf("%-26s %14.0f\n", "simplify (nodes)", P.Simplify.PerSec());
+  std::printf("%-26s %14.0f\n", "coalesce (probes)", P.Coalesce.PerSec());
 
   if (!PerfOut.empty()) {
     namespace fs = std::filesystem;

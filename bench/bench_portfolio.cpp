@@ -13,10 +13,10 @@
 //  * --perf-out=DIR: times, at batch depth 1 (one function in flight,
 //    the latency case the portfolio exists for), the sequential
 //    all-arms sweep versus the concurrent race on the same function
-//    set, and writes portfolio_perf_seq.json / portfolio_perf_race.json
-//    carrying the *same* unlabeled gauge key (portfolio.wall_us), so
-//      dra-stats --fail-on=portfolio.wall_us:-25 \
-//          portfolio_perf_seq.json portfolio_perf_race.json
+//    set, and writes portfolio_perf_seq.json (SEQ) and
+//    portfolio_perf_race.json (RACE) carrying the *same* unlabeled gauge
+//    key (portfolio.wall_us), so
+//      dra-stats --fail-on=portfolio.wall_us:-25 SEQ RACE
 //    fails unless racing cuts single-function latency by more than 25%
 //    over compiling the arms back to back on the same machine and run.
 //    Every timed race is also byte-checked against its sequential sweep.

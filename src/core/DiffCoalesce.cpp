@@ -4,15 +4,11 @@
 
 #include "analysis/Liveness.h"
 #include "core/AdjacencyGraph.h"
-#include "core/DiffSelectHook.h"
 #include "core/Recolor.h"
 #include "regalloc/GraphColoring.h"
 #include "regalloc/InterferenceGraph.h"
 
 #include <algorithm>
-#include <limits>
-#include <map>
-#include <unordered_set>
 
 using namespace dra;
 
@@ -24,12 +20,35 @@ constexpr unsigned MaxCandidatesPerStep = 32;
 /// Upper bound on committed coalescences (safety valve).
 constexpr unsigned MaxSteps = 256;
 
+/// Move pairs as ((A, B), weight): distinct (A < B) vreg pairs with their
+/// static occurrence counts, or cross-root pairs with folded counts. The
+/// weights are whole numbers, so every sum of them is exact in any order.
+using MoveList = std::vector<std::pair<std::pair<RegId, RegId>, double>>;
+
+/// Sorts \p Moves by pair and folds equal pairs into one, summing their
+/// weights.
+void foldMoves(MoveList &Moves) {
+  std::sort(Moves.begin(), Moves.end());
+  size_t Out = 0;
+  for (size_t I = 0; I != Moves.size(); ++I) {
+    if (Out != 0 && Moves[Out - 1].first == Moves[I].first)
+      Moves[Out - 1].second += Moves[I].second;
+    else
+      Moves[Out++] = Moves[I];
+  }
+  Moves.resize(Out);
+}
+
 /// The merged view of one function's interference + adjacency graphs under
 /// a set of committed coalescences. Nodes are virtual registers; merged
-/// groups are represented by their union-find root.
+/// groups are represented by their union-find root. Copy-assigning one
+/// MergedGraph to another of the same function reuses the target's
+/// buffers, which is how a coalesce probe avoids allocating.
 class MergedGraph {
 public:
-  MergedGraph(const Function &F, const EncodingConfig &C,
+  /// Builds the graph of \p F and stores its distinct move pairs, sorted,
+  /// in \p Moves.
+  MergedGraph(const Function &F, const EncodingConfig &C, MoveList &Moves,
               Arena *Scratch = nullptr) {
     NumVRegs = F.NumRegs;
     Parent.resize(NumVRegs);
@@ -48,13 +67,12 @@ public:
     }
     AG = AdjacencyGraph::build(F, C, WeightMode::Frequency);
 
-    // Distinct move pairs with accumulated (static occurrence) weight.
-    for (const MovePair &MP : IG.moves()) {
-      if (MP.Dst == MP.Src)
-        continue;
-      RegId A = std::min(MP.Dst, MP.Src), B = std::max(MP.Dst, MP.Src);
-      MoveWeight[{A, B}] += 1.0;
-    }
+    Moves.clear();
+    for (const MovePair &MP : IG.moves())
+      if (MP.Dst != MP.Src)
+        Moves.push_back({{std::min(MP.Dst, MP.Src), std::max(MP.Dst, MP.Src)},
+                         1.0});
+    foldMoves(Moves);
   }
 
   uint32_t numVRegs() const { return NumVRegs; }
@@ -101,26 +119,25 @@ public:
     AG.mergeInto(V, U);
   }
 
-  /// Remaining (cross-root) move pairs as ((rootA, rootB), weight).
-  std::vector<std::pair<std::pair<RegId, RegId>, double>>
-  activeMoves() const {
-    std::map<std::pair<RegId, RegId>, double> Folded;
-    for (const auto &[Pair, W] : MoveWeight) {
+  /// Remaining (cross-root) pairs of \p Moves, folded per root pair and
+  /// sorted by it.
+  MoveList activeMoves(const MoveList &Moves) const {
+    MoveList Active;
+    for (const auto &[Pair, W] : Moves) {
       RegId A = find(Pair.first), B = find(Pair.second);
-      if (A == B)
-        continue;
-      if (A > B)
-        std::swap(A, B);
-      Folded[{A, B}] += W;
+      if (A != B)
+        Active.push_back({{std::min(A, B), std::max(A, B)}, W});
     }
-    return {Folded.begin(), Folded.end()};
+    foldMoves(Active);
+    return Active;
   }
 
-  /// Total weight of moves whose endpoints are still distinct roots.
-  double remainingMoveWeight() const {
+  /// Total weight of \p Moves whose endpoints are still distinct roots.
+  double remainingMoveWeight(const MoveList &Moves) const {
     double Total = 0;
-    for (const auto &[Pair, W] : activeMoves())
-      Total += W;
+    for (const auto &[Pair, W] : Moves)
+      if (find(Pair.first) != find(Pair.second))
+        Total += W;
     return Total;
   }
 
@@ -134,13 +151,11 @@ public:
 
   const AdjacencyGraph &adjacency() const { return AG; }
 
-  /// All current roots, ascending.
-  std::vector<RegId> roots() const {
-    std::vector<RegId> Result;
+  /// Appends all current roots, ascending, to \p Out.
+  void roots(std::vector<RegId> &Out) const {
     for (RegId R = 0; R != NumVRegs; ++R)
-      if (find(R) == R)
-        Result.push_back(R);
-    return Result;
+      if (Parent[R] == R)
+        Out.push_back(R);
   }
 
 private:
@@ -149,36 +164,74 @@ private:
   std::vector<std::vector<RegId>> Members;
   /// Root-level interference; each list sorted and unique.
   std::vector<std::vector<RegId>> Adj;
-  AdjacencyGraph AG;                          // Root-level adjacency.
-  std::map<std::pair<RegId, RegId>, double> MoveWeight;
+  AdjacencyGraph AG; // Root-level adjacency.
 };
 
 /// Result of one rebuild&simplify + select probe.
 struct ColorOutcome {
   bool Colorable = false;
+  /// Differential cost of the complete assignment (when Colorable).
   double DiffCost = 0;
-  /// Per-vreg colors (only meaningful when Colorable).
-  std::vector<RegId> ColorOfVReg;
   /// A node that failed to receive a color (when !Colorable).
   RegId FailedRoot = NoReg;
 };
 
+/// Buffers colorMerged reuses from call to call, so a probe allocates
+/// only when a function outgrows what an earlier call left behind.
+struct ColorScratch {
+  std::vector<RegId> Roots, Stack, LowDegree, RootColor;
+  std::vector<unsigned> Degree, OkColors;
+  std::vector<uint8_t> Removed, Used;
+};
+
+/// Differential-select cost of giving root \p N color \p Color against the
+/// roots colored so far: the violating weight of N's out-edges, then its
+/// in-edges. merge() moves every adjacency edge of a merged group onto
+/// its root and between roots, so these are the only edges of N's
+/// members that selectCost would count, summed in the same order.
+double rootSelectCost(const AdjacencyGraph &AG, const EncodingConfig &C,
+                      RegId N, unsigned Color,
+                      const std::vector<RegId> &RootColor) {
+  double Total = 0;
+  AG.forEachOut(N, [&](RegId To, double W) {
+    RegId ToColor = RootColor[To];
+    if (ToColor != NoReg && ToColor != Color && !C.encodable(Color, ToColor))
+      Total += W;
+  });
+  AG.forEachIn(N, [&](RegId From, double W) {
+    RegId FromColor = RootColor[From];
+    if (FromColor != NoReg && FromColor != Color &&
+        !C.encodable(FromColor, Color))
+      Total += W;
+  });
+  return Total;
+}
+
 /// Chaitin-Briggs simplify + (differential) select over the merged graph.
+/// Fills \p ColorOfVReg with every vreg's color when it is non-null and
+/// the graph is colorable; probes pass null and read only the cost.
 ColorOutcome colorMerged(const MergedGraph &G, const EncodingConfig &C,
-                         bool UseDiffSelect) {
+                         bool UseDiffSelect, ColorScratch &S,
+                         std::vector<RegId> *ColorOfVReg = nullptr) {
   unsigned K = C.RegN;
-  std::vector<RegId> Roots = G.roots();
+  std::vector<RegId> &Roots = S.Roots;
+  Roots.clear();
+  G.roots(Roots);
 
   // Degrees among roots.
-  std::vector<unsigned> Degree(G.numVRegs(), 0);
+  std::vector<unsigned> &Degree = S.Degree;
+  Degree.assign(G.numVRegs(), 0);
   for (RegId R : Roots)
     Degree[R] = static_cast<unsigned>(G.neighborsOf(R).size());
 
   // Simplify: low-degree first (worklist), optimistic max-degree removal
   // when stuck (Briggs).
-  std::vector<uint8_t> Removed(G.numVRegs(), 0);
-  std::vector<RegId> Stack;
-  std::vector<RegId> LowDegree;
+  std::vector<uint8_t> &Removed = S.Removed;
+  Removed.assign(G.numVRegs(), 0);
+  std::vector<RegId> &Stack = S.Stack;
+  Stack.clear();
+  std::vector<RegId> &LowDegree = S.LowDegree;
+  LowDegree.clear();
   for (RegId R : Roots)
     if (Degree[R] < K)
       LowDegree.push_back(R);
@@ -210,22 +263,20 @@ ColorOutcome colorMerged(const MergedGraph &G, const EncodingConfig &C,
         LowDegree.push_back(N);
   }
 
-  // Select in reverse removal order.
+  // Select in reverse removal order. Only roots are ever colored, so
+  // RootColor doubles as the vreg-to-number assignment of the roots.
   ColorOutcome Out;
-  Out.ColorOfVReg.assign(G.numVRegs(), NoReg);
-  std::vector<RegId> RootColor(G.numVRegs(), NoReg);
-  auto ColorOfVReg = [&](RegId V) {
-    RegId Rep = G.find(V);
-    return RootColor[Rep] == NoReg ? -1 : static_cast<int>(RootColor[Rep]);
-  };
-
+  std::vector<RegId> &RootColor = S.RootColor;
+  RootColor.assign(G.numVRegs(), NoReg);
+  std::vector<uint8_t> &Used = S.Used;
+  std::vector<unsigned> &OkColors = S.OkColors;
   for (size_t I = Stack.size(); I > 0; --I) {
     RegId N = Stack[I - 1];
-    std::vector<uint8_t> Used(K, 0);
+    Used.assign(K, 0);
     for (RegId Nbr : G.neighborsOf(N))
       if (RootColor[Nbr] != NoReg)
         Used[RootColor[Nbr]] = 1;
-    std::vector<unsigned> OkColors;
+    OkColors.clear();
     for (unsigned Color = 0; Color != K; ++Color)
       if (!Used[Color])
         OkColors.push_back(Color);
@@ -236,11 +287,11 @@ ColorOutcome colorMerged(const MergedGraph &G, const EncodingConfig &C,
     }
     unsigned Chosen = OkColors.front();
     if (UseDiffSelect && OkColors.size() > 1) {
-      double BestCost = selectCost(G.adjacency(), C, G.membersOf(N), Chosen,
-                                   ColorOfVReg);
+      double BestCost =
+          rootSelectCost(G.adjacency(), C, N, Chosen, RootColor);
       for (size_t CI = 1; CI < OkColors.size() && BestCost > 0; ++CI) {
-        double Cost = selectCost(G.adjacency(), C, G.membersOf(N),
-                                 OkColors[CI], ColorOfVReg);
+        double Cost =
+            rootSelectCost(G.adjacency(), C, N, OkColors[CI], RootColor);
         if (Cost < BestCost) {
           BestCost = Cost;
           Chosen = OkColors[CI];
@@ -251,17 +302,13 @@ ColorOutcome colorMerged(const MergedGraph &G, const EncodingConfig &C,
   }
 
   Out.Colorable = true;
-  for (RegId V = 0; V != G.numVRegs(); ++V)
-    Out.ColorOfVReg[V] = RootColor[G.find(V)];
+  if (ColorOfVReg) {
+    ColorOfVReg->resize(G.numVRegs());
+    for (RegId V = 0; V != G.numVRegs(); ++V)
+      (*ColorOfVReg)[V] = RootColor[G.find(V)];
+  }
   // Differential cost of the complete assignment, at vreg granularity.
-  Out.DiffCost = G.adjacency().cost(
-      [&] {
-        std::vector<RegId> RootAssign(G.numVRegs(), NoReg);
-        for (RegId R : G.roots())
-          RootAssign[R] = RootColor[R];
-        return RootAssign;
-      }(),
-      C);
+  Out.DiffCost = G.adjacency().cost(RootColor, C);
   return Out;
 }
 
@@ -278,24 +325,31 @@ CoalesceResult dra::coalesceAndColor(Function &F, const EncodingConfig &C,
   const unsigned MaxSpillRetries = 24;
   unsigned SpillRetries = 0;
 
+  // Scratch reused by every round: the coloring buffers, the round's
+  // move list and the probe graph.
+  ColorScratch Colors;
+  MoveList Moves;
+  std::vector<RegId> ColorOfVReg;
   for (;;) {
     ScopedSpan RoundSpan(SubSpans, "coalesce.round");
     F.recomputeCFG();
-    MergedGraph G(F, C, Scratch);
+    MergedGraph G(F, C, Moves, Scratch);
 
     // Greedy best-first coalescing with undo-by-probing (Figure 9): each
     // step probes candidates on a copy of the merged graph and commits the
-    // best cost reduction.
+    // best cost reduction. The copy is assigned into one probe graph per
+    // round, which reuses its buffers.
     double CurCost;
     {
       ++Result.OracleCalls;
-      ColorOutcome Cur = colorMerged(G, C, DiffAware);
+      ColorOutcome Cur = colorMerged(G, C, DiffAware, Colors);
       CurCost = (Cur.Colorable && DiffAware ? Cur.DiffCost : 0.0) +
-                G.remainingMoveWeight();
+                G.remainingMoveWeight(Moves);
     }
 
+    MergedGraph Probe = G;
     for (unsigned Step = 0; Step != MaxSteps; ++Step) {
-      auto Candidates = G.activeMoves();
+      MoveList Candidates = G.activeMoves(Moves);
       // Drop interfering pairs; order by descending weight.
       Candidates.erase(
           std::remove_if(Candidates.begin(), Candidates.end(),
@@ -318,17 +372,17 @@ CoalesceResult dra::coalesceAndColor(Function &F, const EncodingConfig &C,
       double BestNewCost = CurCost;
       std::pair<RegId, RegId> BestPair{NoReg, NoReg};
       for (const auto &[Pair, Weight] : Candidates) {
-        MergedGraph Probe = G; // Undo by discarding the copy.
+        Probe = G; // Undo by overwriting the probe.
         Probe.merge(Pair.first, Pair.second);
         ++Result.ProbesAttempted;
         ++Result.OracleCalls;
-        ColorOutcome Probed = colorMerged(Probe, C, DiffAware);
+        ColorOutcome Probed = colorMerged(Probe, C, DiffAware, Colors);
         if (!Probed.Colorable) {
           ++Result.ProbesUncolorable;
           continue;
         }
         double NewCost = (DiffAware ? Probed.DiffCost : 0.0) +
-                         Probe.remainingMoveWeight();
+                         Probe.remainingMoveWeight(Moves);
         if (NewCost < BestNewCost - 1e-9) {
           BestNewCost = NewCost;
           BestPair = Pair;
@@ -344,7 +398,7 @@ CoalesceResult dra::coalesceAndColor(Function &F, const EncodingConfig &C,
 
     // Final coloring.
     ++Result.OracleCalls;
-    ColorOutcome Final = colorMerged(G, C, DiffAware);
+    ColorOutcome Final = colorMerged(G, C, DiffAware, Colors, &ColorOfVReg);
     if (!Final.Colorable) {
       if (++SpillRetries > MaxSpillRetries) {
         Result.Success = false;
@@ -363,7 +417,7 @@ CoalesceResult dra::coalesceAndColor(Function &F, const EncodingConfig &C,
     // Live-range-granularity refinement of the final assignment (see
     // core/Recolor.h); clusters keep coalesced moves intact.
     if (DiffAware) {
-      RecolorStats RS = recolorColoring(F, C, Final.ColorOfVReg);
+      RecolorStats RS = recolorColoring(F, C, ColorOfVReg);
       Result.FinalAdjCost = RS.CostAfter;
     } else {
       Result.FinalAdjCost = Final.DiffCost;
@@ -376,8 +430,8 @@ CoalesceResult dra::coalesceAndColor(Function &F, const EncodingConfig &C,
       for (Instruction I : BB.Insts) {
         for (unsigned Field = 0; Field != I.numRegFields(); ++Field) {
           RegId V = I.regField(Field);
-          assert(Final.ColorOfVReg[V] != NoReg && "uncolored vreg");
-          I.setRegField(Field, Final.ColorOfVReg[V]);
+          assert(ColorOfVReg[V] != NoReg && "uncolored vreg");
+          I.setRegField(Field, ColorOfVReg[V]);
         }
         if (I.Op == Opcode::Mov && I.Dst == I.Src1)
           continue;

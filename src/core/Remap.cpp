@@ -157,66 +157,72 @@ RemapResult greedySearch(const AdjacencyGraph &G, const EncodingConfig &C,
 
 RemapCostModel::RemapCostModel(const AdjacencyGraph &G,
                                const EncodingConfig &C)
-    : RegN(C.RegN), Rows(C.RegN), ViolatedDiff(C.RegN, 0) {
-  // Condition (3) as a table over the modular difference: diff 0 is a
-  // self-transition (always encodable) and DiffN >= 1, so "violated" is
-  // exactly diff >= DiffN.
-  for (unsigned D = 0; D != C.RegN; ++D)
-    ViolatedDiff[D] = D >= C.DiffN ? 1 : 0;
+    : RegN(C.RegN), RowBegin(C.RegN + 1, 0), InBegin(C.RegN, 0),
+      Viol(2 * C.RegN) {
+  // Condition (3) over To + RegN - From: the modular difference is that
+  // index mod RegN, diff 0 is a self-transition (always encodable) and
+  // DiffN >= 1, so "violated" is exactly diff >= DiffN.
+  for (unsigned I = 0; I != 2 * C.RegN; ++I)
+    Viol[I] = I % C.RegN >= C.DiffN ? 1.0 : 0.0;
 
+  // swapDelta multiplies every weight by 0.0 or 1.0 and adds the product,
+  // which equals skipping or adding the weight only for finite weights
+  // (block frequencies cap at 10^6, so they are).
+  auto Append = [&](RegId X, double W) {
+    assert(std::isfinite(W) && "remap weights must be finite");
+    Far.push_back(X);
+    Weight.push_back(W);
+  };
   uint32_t Nodes = std::min<uint32_t>(G.numNodes(), C.RegN);
-  for (RegId R = 0; R != Nodes; ++R) {
-    G.forEachOut(R, [&](RegId To, double W) {
-      Rows[R].push_back({To, W, true});
-      ++NumArcs;
-    });
-    G.forEachIn(R, [&](RegId From, double W) {
-      Rows[R].push_back({From, W, false});
-    });
+  for (RegId R = 0; R != C.RegN; ++R) {
+    RowBegin[R] = static_cast<uint32_t>(Far.size());
+    if (R < Nodes)
+      G.forEachOut(R, Append);
+    InBegin[R] = static_cast<uint32_t>(Far.size());
+    NumArcs += InBegin[R] - RowBegin[R];
+    if (R < Nodes)
+      G.forEachIn(R, Append);
   }
+  RowBegin[C.RegN] = static_cast<uint32_t>(Far.size());
 }
 
 double RemapCostModel::swapDelta(const std::vector<RegId> &Perm, RegId U,
                                  RegId V) const {
   double Before = 0, After = 0;
-  RegId PU = Perm[U], PV = Perm[V];
+  const RegId PU = Perm[U], PV = Perm[V];
+  const unsigned N = RegN;
+  const double *Vi = Viol.data(); // Vi[To + N - From]
   // Row U: arcs anchored at U, whose number changes PU -> PV. The far
   // endpoint keeps its number unless it is V (the shared edge). Self
-  // edges are never stored, so Other != U here and Other != V below.
+  // edges are never stored, so Far != U here and Far != V in row V.
   // The accumulation order — row U out, row U in, row V out, row V in —
   // is part of the output: cross-block weights are inexact, so another
-  // order can flip a near-tie, and the remap goldens pin this one.
-  for (const Arc &A : Rows[U]) {
-    RegId O = Perm[A.Other];
-    RegId OS = A.Other == V ? PU : O;
-    if (A.IsOut) {
-      if (violated(PU, O))
-        Before += A.W;
-      if (violated(PV, OS))
-        After += A.W;
-    } else {
-      if (violated(O, PU))
-        Before += A.W;
-      if (violated(OS, PV))
-        After += A.W;
-    }
+  // order can flip a near-tie, and the remap goldens pin this one. A
+  // term that does not violate adds W * 0.0 == +0.0, which leaves a sum
+  // that started at +0.0 bit-identical to skipping it.
+  for (uint32_t I = RowBegin[U], E = InBegin[U]; I != E; ++I) {
+    const RegId O = Perm[Far[I]], OS = Far[I] == V ? PU : O;
+    Before += Weight[I] * Vi[O + N - PU];
+    After += Weight[I] * Vi[OS + N - PV];
   }
-  // Row V, skipping the shared edge already counted under row U.
-  for (const Arc &A : Rows[V]) {
-    if (A.Other == U)
-      continue;
-    RegId O = Perm[A.Other];
-    if (A.IsOut) {
-      if (violated(PV, O))
-        Before += A.W;
-      if (violated(PU, O))
-        After += A.W;
-    } else {
-      if (violated(O, PV))
-        Before += A.W;
-      if (violated(O, PU))
-        After += A.W;
-    }
+  for (uint32_t I = InBegin[U], E = RowBegin[U + 1]; I != E; ++I) {
+    const RegId O = Perm[Far[I]], OS = Far[I] == V ? PU : O;
+    Before += Weight[I] * Vi[PU + N - O];
+    After += Weight[I] * Vi[PV + N - OS];
+  }
+  // Row V: the edge shared with U was counted under row U, so it
+  // contributes weight 0.0 here.
+  for (uint32_t I = RowBegin[V], E = InBegin[V]; I != E; ++I) {
+    const RegId O = Perm[Far[I]];
+    const double W = Far[I] == U ? 0.0 : Weight[I];
+    Before += W * Vi[O + N - PV];
+    After += W * Vi[O + N - PU];
+  }
+  for (uint32_t I = InBegin[V], E = RowBegin[V + 1]; I != E; ++I) {
+    const RegId O = Perm[Far[I]];
+    const double W = Far[I] == U ? 0.0 : Weight[I];
+    Before += W * Vi[PV + N - O];
+    After += W * Vi[PU + N - O];
   }
   return After - Before;
 }

@@ -93,9 +93,12 @@ struct RemapResult {
 };
 
 /// Precomputed per-register view of an AdjacencyGraph for O(degree) swap
-/// evaluation: for each register, the arcs it anchors (outgoing then
-/// incoming, in the graph's neighbor order) with their weights resolved,
-/// plus a table of which modular differences violate condition (3).
+/// evaluation. Register R's row is a contiguous out-segment (arcs R -> X)
+/// followed by an in-segment (arcs X -> R), each in the graph's neighbor
+/// order, with the far endpoints and the weights in two flat arrays.
+/// Condition (3) is a table of 0.0/1.0 doubles indexed by
+/// `To + RegN - From`, so `swapDelta` adds `W * Viol[...]` for every term
+/// without a data-dependent branch.
 ///
 /// Cross-block weights (`Freq / preds`) are not exact doubles, so the
 /// order in which `swapDelta` sums its terms decides near-ties and with
@@ -112,28 +115,23 @@ public:
 
   /// Arc terms one swapDelta(_, U, V) call sums (row sizes).
   size_t deltaArcs(RegId U, RegId V) const {
-    return Rows[U].size() + Rows[V].size();
+    return RowBegin[U + 1] - RowBegin[U] + RowBegin[V + 1] - RowBegin[V];
   }
 
   /// Directed arcs in the graph: the term count of one full recost.
   size_t arcCount() const { return NumArcs; }
 
 private:
-  struct Arc {
-    RegId Other; ///< The endpoint that is not the row's register.
-    double W;    ///< Edge weight.
-    bool IsOut;  ///< True: row register -> Other; false: the reverse.
-  };
-
-  bool violated(RegId FromNo, RegId ToNo) const {
-    unsigned D = ToNo >= FromNo ? ToNo - FromNo : ToNo + RegN - FromNo;
-    return ViolatedDiff[D] != 0;
-  }
-
   unsigned RegN = 0;
   size_t NumArcs = 0;
-  std::vector<std::vector<Arc>> Rows; ///< Per-register [out..., in...].
-  std::vector<uint8_t> ViolatedDiff;  ///< Indexed by modular difference.
+  /// Row R is [RowBegin[R], InBegin[R]) out, [InBegin[R], RowBegin[R+1])
+  /// in, as indices into Far and Weight.
+  std::vector<uint32_t> RowBegin, InBegin;
+  std::vector<RegId> Far;     ///< The endpoint that is not the row's.
+  std::vector<double> Weight; ///< Edge weight (finite).
+  /// Viol[To + RegN - From] is 1.0 when From -> To violates condition
+  /// (3), else 0.0; 2 * RegN entries.
+  std::vector<double> Viol;
 };
 
 /// Finds a cost-minimizing permutation for the register-level adjacency
